@@ -1,35 +1,22 @@
-"""Numeric kernels with two interchangeable backends.
+"""Elementwise numeric kernels: activations, the squashed-Gaussian sample and
+its gradient, and the soft Bellman target.
 
-The training loop spends nearly all of its time in a handful of elementwise
-operations (activations, optimizer updates, the squashed-Gaussian sample and
-its gradient). Each of them exists twice here: a vectorized numpy version and
-a numba-jitted loop that fuses the arithmetic into a single pass. Matrix
-products stay on numpy's BLAS in both backends.
-
-The backend is chosen at import time: numba when available, unless the
-environment variable ``HYDROSAC_NUMBA`` is set to ``0``. ``set_backend``
-switches at runtime (used by the benchmark and the equivalence tests).
-Callers must access kernels as module attributes (``K.relu(...)``) so the
-switch takes effect.
-
-Within one backend every kernel is deterministic. Across backends the pure
-arithmetic kernels are bit-identical; the squash kernels may differ in the
-last ulp because numba's exp/log are not numpy's SIMD versions.
+Everything is vectorized numpy; matrix products stay on numpy's BLAS. Each
+kernel is deterministic, so training is bit-reproducible from its seed.
+The optimizer updates (RMSprop, Polyak) are not kernels here: they run as
+in-place chains over each network's flat parameter vector (see neural.py).
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
+# numpy is the only backend. These two names stay because the benchmark's
+# environment record (perfbench/envinfo.py) reads them in every run.
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
 
-ENV_FLAG = "HYDROSAC_NUMBA"
+def backend():
+    return "numpy"
+
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -37,34 +24,19 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ACTION_MARGIN = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _relu_np(z):
+def relu(z):
     return np.maximum(z, 0.0)
 
 
-def _relu_backward_np(grad, z):
+def relu_backward(grad, z):
     return grad * (z > 0.0)
 
 
-def _rmsprop2d_np(param, grad, acc, lr, rho, eps):
-    acc *= rho
-    acc += (1.0 - rho) * grad * grad
-    param -= lr * grad / (np.sqrt(acc) + eps)
-
-
-def _polyak2d_np(target, main, tau):
-    target *= 1.0 - tau
-    target += tau * main
-
-
-def _q_target_np(reward, done, v_next, gamma):
+def q_target(reward, done, v_next, gamma):
     return reward + gamma * (1.0 - done) * v_next
 
 
-def _sigmoid_np(z):
+def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -73,10 +45,10 @@ def _sigmoid_np(z):
     return np.clip(out, ACTION_MARGIN, 1.0 - ACTION_MARGIN)
 
 
-def _squash_sample_np(mean, log_std, noise, prob_floor):
+def squash_sample(mean, log_std, noise, prob_floor):
     std = np.exp(log_std)
     z = mean + std * noise
-    action = _sigmoid_np(z)
+    action = _sigmoid(z)
     sig_grad = action * (1.0 - action)
     log_prob = (
         -0.5 * noise * noise
@@ -87,171 +59,10 @@ def _squash_sample_np(mean, log_std, noise, prob_floor):
     return action, log_prob, z
 
 
-def _squash_backward_np(g_action, g_log_prob, action, std, noise, prob_floor):
+def squash_backward(g_action, g_log_prob, action, std, noise, prob_floor):
     sig_grad = action * (1.0 - action)
     correction = sig_grad * (1.0 - 2.0 * action) / (sig_grad + prob_floor)
     g_z = g_action * sig_grad - g_log_prob * correction
     g_mean = g_z
     g_log_std = g_z * std * noise - g_log_prob
     return g_mean, g_log_std
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, fused loops)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _njit = numba.njit(cache=True)
-
-    @_njit
-    def _relu_nb(z):
-        out = np.empty_like(z)
-        for i in range(z.shape[0]):
-            for j in range(z.shape[1]):
-                v = z[i, j]
-                out[i, j] = v if v > 0.0 else 0.0
-        return out
-
-    @_njit
-    def _relu_backward_nb(grad, z):
-        out = np.empty_like(grad)
-        for i in range(grad.shape[0]):
-            for j in range(grad.shape[1]):
-                out[i, j] = grad[i, j] if z[i, j] > 0.0 else 0.0
-        return out
-
-    @_njit
-    def _rmsprop2d_nb(param, grad, acc, lr, rho, eps):
-        for i in range(param.shape[0]):
-            for j in range(param.shape[1]):
-                g = grad[i, j]
-                acc[i, j] = rho * acc[i, j] + (1.0 - rho) * g * g
-                param[i, j] -= lr * g / (np.sqrt(acc[i, j]) + eps)
-
-    @_njit
-    def _polyak2d_nb(target, main, tau):
-        for i in range(target.shape[0]):
-            for j in range(target.shape[1]):
-                a = (1.0 - tau) * target[i, j]
-                b = tau * main[i, j]
-                target[i, j] = a + b
-
-    @_njit
-    def _q_target_nb(reward, done, v_next, gamma):
-        out = np.empty_like(reward)
-        for i in range(reward.size):
-            out[i] = reward[i] + gamma * (1.0 - done[i]) * v_next[i]
-        return out
-
-    @_njit
-    def _squash_sample_nb(mean, log_std, noise, prob_floor):
-        n = mean.size
-        action = np.empty(n)
-        log_prob = np.empty(n)
-        z_out = np.empty(n)
-        lo = ACTION_MARGIN
-        hi = 1.0 - ACTION_MARGIN
-        for i in range(n):
-            std = np.exp(log_std[i])
-            z = mean[i] + std * noise[i]
-            if z >= 0.0:
-                a = 1.0 / (1.0 + np.exp(-z))
-            else:
-                ez = np.exp(z)
-                a = ez / (1.0 + ez)
-            if a < lo:
-                a = lo
-            elif a > hi:
-                a = hi
-            sig_grad = a * (1.0 - a)
-            action[i] = a
-            z_out[i] = z
-            log_prob[i] = (
-                -0.5 * noise[i] * noise[i]
-                - log_std[i]
-                - 0.5 * LOG_2PI
-                - np.log(sig_grad + prob_floor)
-            )
-        return action, log_prob, z_out
-
-    @_njit
-    def _squash_backward_nb(g_action, g_log_prob, action, std, noise, prob_floor):
-        n = action.size
-        g_mean = np.empty(n)
-        g_log_std = np.empty(n)
-        for i in range(n):
-            a = action[i]
-            sig_grad = a * (1.0 - a)
-            correction = sig_grad * (1.0 - 2.0 * a) / (sig_grad + prob_floor)
-            g_z = g_action[i] * sig_grad - g_log_prob[i] * correction
-            g_mean[i] = g_z
-            g_log_std[i] = g_z * std[i] * noise[i] - g_log_prob[i]
-        return g_mean, g_log_std
-
-
-_IMPLS = {
-    "numpy": {
-        "relu": _relu_np,
-        "relu_backward": _relu_backward_np,
-        "_rmsprop2d": _rmsprop2d_np,
-        "_polyak2d": _polyak2d_np,
-        "q_target": _q_target_np,
-        "squash_sample": _squash_sample_np,
-        "squash_backward": _squash_backward_np,
-    },
-}
-if HAS_NUMBA:
-    _IMPLS["numba"] = {
-        "relu": _relu_nb,
-        "relu_backward": _relu_backward_nb,
-        "_rmsprop2d": _rmsprop2d_nb,
-        "_polyak2d": _polyak2d_nb,
-        "q_target": _q_target_nb,
-        "squash_sample": _squash_sample_nb,
-        "squash_backward": _squash_backward_nb,
-    }
-
-_backend = "numpy"
-
-
-def backend():
-    return _backend
-
-
-def available_backends():
-    return tuple(_IMPLS)
-
-
-def set_backend(name):
-    """Bind the named implementation set to this module's kernel attributes."""
-    global _backend
-    if name not in _IMPLS:
-        raise ValueError(f"unknown kernel backend {name!r}; have {sorted(_IMPLS)}")
-    for attr, fn in _IMPLS[name].items():
-        globals()[attr] = fn
-    _backend = name
-
-
-def _as2d(a):
-    return a[None, :] if a.ndim == 1 else a
-
-
-def rmsprop2d(param, grad, acc, lr, rho, eps):
-    _rmsprop2d(param, grad, acc, lr, rho, eps)
-
-
-def rmsprop1d(param, grad, acc, lr, rho, eps):
-    _rmsprop2d(_as2d(param), _as2d(grad), _as2d(acc), lr, rho, eps)
-
-
-def polyak2d(target, main, tau):
-    _polyak2d(target, main, tau)
-
-
-def polyak1d(target, main, tau):
-    _polyak2d(_as2d(target), _as2d(main), tau)
-
-
-set_backend(
-    "numba" if HAS_NUMBA and os.environ.get(ENV_FLAG, "1") != "0" else "numpy"
-)

@@ -1,12 +1,15 @@
 """Dense feed-forward networks with hand-written backpropagation.
 
-Everything is float64. An Mlp caches its forward activations so a backward
-call can produce exact reverse-mode gradients for all parameters plus the
-gradient with respect to the input (needed to push value gradients through
-actions). The policy network adds a squashed-Gaussian head pair on top of a
-shared trunk: it emits a mean and a clamped log standard deviation, samples
-with reparameterized noise, and squashes through a sigmoid so actions stay
-in (0, 1).
+Everything is float64. Each network keeps all of its weights and biases in
+one contiguous vector, `params`; every layer's arrays are views into it.
+A matching vector, `grads`, receives the parameter gradients, so an
+optimizer step is a single elementwise chain over one vector. An Mlp caches
+its forward activations so a backward call can produce exact reverse-mode
+gradients for all parameters plus the gradient with respect to the input
+(needed to push value gradients through actions). The policy network adds
+a squashed-Gaussian head pair on top of a shared trunk: it emits a mean and
+a clamped log standard deviation, samples with reparameterized noise, and
+squashes through a sigmoid so actions stay in (0, 1).
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,11 @@ LOG_STD_MAX = 2.0
 SQUASH_PROB_FLOOR = 3e-6
 
 
+def _check_activation(name):
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
+
+
 @dataclass
 class Layer:
     # Weights are held transposed, (in, out), because this BLAS runs
@@ -35,21 +43,56 @@ class Layer:
     bias: np.ndarray  # (out,)
     activation: str
 
+    def __post_init__(self):
+        _check_activation(self.activation)
+
     @property
     def weight(self):
         """The conventional (out, in) view of the weight matrix."""
         return self.wt.T
 
 
+def _views(flat, shapes):
+    """Consecutive views into the vector `flat`, one per shape."""
+    views = []
+    start = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 class Mlp:
-    """Fully connected stack; forward caches activations for one backward."""
+    """Fully connected stack; forward caches activations for one backward.
+
+    The layers' arrays are copied into one vector, `params`, in the order
+    of parameters(); `grads` has the same layout.
+    """
 
     def __init__(self, layers):
+        if not layers:
+            raise ValueError("an Mlp needs at least one layer")
         self.layers = layers
         self._cache = None
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.wt.shape[0] != prev.wt.shape[1]:
                 raise ValueError("layer dimensions do not chain")
+        size = sum(l.wt.size + l.bias.size for l in layers)
+        self._bind(np.empty(size), np.zeros(size))
+
+    def _bind(self, params, grads):
+        """Copy the weights into `params` and point every layer at its views."""
+        shapes = [a.shape for l in self.layers for a in (l.wt, l.bias)]
+        views = _views(params, shapes)
+        for layer, wt, bias in zip(self.layers, views[0::2], views[1::2]):
+            wt[...] = layer.wt
+            bias[...] = layer.bias
+            layer.wt, layer.bias = wt, bias
+        grad_views = _views(grads, shapes)
+        self._grad_views = list(zip(grad_views[0::2], grad_views[1::2]))
+        self.params = params
+        self.grads = grads
 
     @property
     def widths(self):
@@ -70,9 +113,9 @@ class Mlp:
     def backward(self, output_grad):
         """Gradients of a scalar objective given d(objective)/d(output).
 
-        Returns ([(dW, db) per layer], d(objective)/d(input)), with dW in
-        the stored (in, out) layout. Requires a preceding forward call;
-        consumes its cache.
+        Fills `grads` with d(objective)/d(params) and returns
+        d(objective)/d(input). Requires a preceding forward call; consumes
+        its cache.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -80,16 +123,17 @@ class Mlp:
         single = g.ndim == 1
         if single:
             g = g[None, :]
-        grads = [None] * len(self.layers)
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
+            dw, db = self._grad_views[k]
             x, z = self._cache[k]
             if layer.activation == RELU:
                 g = K.relu_backward(g, z)
-            grads[k] = (x.T @ g, g.sum(axis=0))
+            np.matmul(x.T, g, out=dw)
+            g.sum(axis=0, out=db)
             g = g @ np.ascontiguousarray(layer.wt.T)
         self._cache = None
-        return grads, (g[0] if single else g)
+        return g[0] if single else g
 
     def parameters(self):
         out = []
@@ -113,12 +157,14 @@ class Mlp:
             bias = np.asarray(bias, dtype=float)
             if weight.shape != layer.weight.shape or bias.shape != layer.bias.shape:
                 raise ValueError("parameter shape mismatch")
+            _check_activation(activation)
             layer.wt[...] = weight.T
             layer.bias[...] = bias
             layer.activation = activation
 
     def copy(self):
-        return Mlp([Layer(l.wt.copy(), l.bias.copy(), l.activation) for l in self.layers])
+        # the new Mlp copies the arrays into a vector of its own
+        return Mlp([Layer(l.wt, l.bias, l.activation) for l in self.layers])
 
 
 def layer_from_weight(weight, bias, activation):
@@ -142,8 +188,6 @@ def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
         raise ValueError("widths must have >= 2 positive entries")
     if len(activations) != len(widths) - 1:
         raise ValueError("need one activation per layer")
-    if any(a not in ACTIVATIONS for a in activations):
-        raise ValueError(f"activations must be among {ACTIVATIONS}")
     layers = []
     last = len(widths) - 2
     for k, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -158,20 +202,29 @@ def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
 
 
 class RmspropState:
-    """Per-parameter squared-gradient accumulators for one network."""
+    """Squared-gradient accumulators for one network, in one flat vector.
+
+    `params` are the network's parameter arrays in flat order. Their shapes
+    lay out `acc` for export and load, which stay per array.
+    """
 
     def __init__(self, params, rho=0.99, eps=1e-8):
         self.rho = rho
         self.eps = eps
-        self.acc = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.acc = np.zeros(size)
+        self._arrays = _views(self.acc, [p.shape for p in params])
+        # scratch for rmsprop_step, so that a step allocates nothing
+        self._t = np.empty(size)
+        self._u = np.empty(size)
 
     def export(self):
-        return [a.copy() for a in self.acc]
+        return [a.copy() for a in self._arrays]
 
     def load(self, accumulators):
-        if len(accumulators) != len(self.acc):
+        if len(accumulators) != len(self._arrays):
             raise ValueError("accumulator count mismatch")
-        for mine, theirs in zip(self.acc, accumulators):
+        for mine, theirs in zip(self._arrays, accumulators):
             theirs = np.asarray(theirs, dtype=float)
             if theirs.shape != mine.shape:
                 raise ValueError("accumulator shape mismatch")
@@ -179,23 +232,23 @@ class RmspropState:
 
 
 def rmsprop_step(params, grads, state, lr):
-    """In-place RMSprop update: acc <- rho*acc + (1-rho)*g^2, p -= lr*g/(sqrt(acc)+eps)."""
-    if len(params) != len(grads) or len(params) != len(state.acc):
-        raise ValueError("params/grads/state length mismatch")
-    for p, g, a in zip(params, grads, state.acc):
-        if p.ndim == 2:
-            K.rmsprop2d(p, g, a, lr, state.rho, state.eps)
-        else:
-            K.rmsprop1d(p, g, a, lr, state.rho, state.eps)
+    """In-place RMSprop on a flat vector: acc <- rho*acc + (1-rho)*g^2, p -= lr*g/(sqrt(acc)+eps).
 
-
-def flat_grads(layer_grads):
-    """Flatten [(dW, db), ...] into the parameters() ordering."""
-    out = []
-    for dw, db in layer_grads:
-        out.append(dw)
-        out.append(db)
-    return out
+    The chain keeps the operation order of that formula, so every element
+    gets the same bits as an array-by-array update.
+    """
+    acc, t, u = state.acc, state._t, state._u
+    if params.shape != acc.shape or grads.shape != acc.shape:
+        raise ValueError("params/grads/state size mismatch")
+    acc *= state.rho
+    np.multiply(grads, 1.0 - state.rho, out=t)
+    t *= grads
+    acc += t
+    np.sqrt(acc, out=t)
+    t += state.eps
+    np.multiply(grads, lr, out=u)
+    u /= t
+    params -= u
 
 
 def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
@@ -217,7 +270,11 @@ def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
 
 
 class PolicyNet:
-    """Squashed-Gaussian policy: relu trunk, linear mean and log-std heads."""
+    """Squashed-Gaussian policy: relu trunk, linear mean and log-std heads.
+
+    The trunk and both heads keep their parameters in consecutive slices of
+    one vector, `params`, in the order of parameters(); `grads` likewise.
+    """
 
     def __init__(self, trunk, mean_head, log_std_head,
                  log_std_min=LOG_STD_MIN, log_std_max=LOG_STD_MAX,
@@ -225,6 +282,15 @@ class PolicyNet:
         self.trunk = trunk
         self.mean_head = mean_head
         self.log_std_head = log_std_head
+        nets = (trunk, mean_head, log_std_head)
+        size = sum(net.params.size for net in nets)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        shapes = [net.params.shape for net in nets]
+        for net, params, grads in zip(
+            nets, _views(self.params, shapes), _views(self.grads, shapes)
+        ):
+            net._bind(params, grads)
         self.log_std_min = log_std_min
         self.log_std_max = log_std_max
         self.prob_floor = prob_floor
@@ -281,20 +347,23 @@ class PolicyNet:
         return float(action[0]) if single else action
 
     def backward_heads(self, g_mean, g_log_std):
-        """Backprop given gradients on the two head outputs."""
+        """Backprop given gradients on the two head outputs.
+
+        Fills `grads` and returns the gradient with respect to the observations.
+        """
         g_mean = np.asarray(g_mean, dtype=float)
         g_log_std = np.asarray(g_log_std, dtype=float) * self._clamp_mask
-        mean_grads, dh_mean = self.mean_head.backward(g_mean[:, None])
-        ls_grads, dh_ls = self.log_std_head.backward(g_log_std[:, None])
-        trunk_grads, dobs = self.trunk.backward(dh_mean + dh_ls)
-        return trunk_grads, mean_grads, ls_grads, dobs
+        dh_mean = self.mean_head.backward(g_mean[:, None])
+        dh_ls = self.log_std_head.backward(g_log_std[:, None])
+        return self.trunk.backward(dh_mean + dh_ls)
 
     def backward_sample(self, g_action, g_log_prob):
         """Backprop through the most recent sample() call.
 
         Takes gradients with respect to the sampled action and its log
         probability; routes them through the reparameterization (noise held
-        fixed) into trunk and head parameters.
+        fixed) into `grads`. Returns the gradient with respect to the
+        observations.
         """
         if self._sample_cache is None:
             raise RuntimeError("backward_sample called without a cached sample")

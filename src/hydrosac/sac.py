@@ -19,7 +19,6 @@ from .neural import (
     RELU,
     PolicyNet,
     RmspropState,
-    flat_grads,
     mlp_init,
     rmsprop_step,
 )
@@ -213,16 +212,16 @@ class AgentBundle:
 
 
 def polyak_update(target, main, tau):
-    """target <- (1 - tau) * target + tau * main, elementwise."""
-    tp = target.parameters()
-    mp = main.parameters()
-    if len(tp) != len(mp) or any(a.shape != b.shape for a, b in zip(tp, mp)):
+    """target <- (1 - tau) * target + tau * main over the flat parameter vectors.
+
+    tau * main goes into the target's gradient vector: a target network is
+    never trained, so that vector is free scratch.
+    """
+    if target.widths != main.widths:
         raise ValueError("target and main network shapes differ")
-    for t, m in zip(tp, mp):
-        if t.ndim == 2:
-            K.polyak2d(t, m, tau)
-        else:
-            K.polyak1d(t, m, tau)
+    params = target.params
+    params *= 1.0 - tau
+    params += np.multiply(main.params, tau, out=target.grads)
 
 
 def compute_q_targets(batch, value_target, gamma):
@@ -265,8 +264,8 @@ def update(agent, batch, rng):
     for qnet, opt in ((agent.q1, agent.opt_q1), (agent.q2, agent.opt_q2)):
         diff = qnet.forward(qa)[:, 0] - q_tgt
         q_losses.append(float(np.mean(diff * diff)))
-        grads, _ = qnet.backward((2.0 / n) * diff[:, None])
-        rmsprop_step(qnet.parameters(), flat_grads(grads), opt, cfg.lr_q)
+        qnet.backward((2.0 / n) * diff[:, None])
+        rmsprop_step(qnet.params, qnet.grads, opt, cfg.lr_q)
 
     # Value regression toward min-Q of the fresh actions minus entropy.
     # The Q passes double as the cached forwards for the policy step below.
@@ -277,8 +276,8 @@ def update(agent, batch, rng):
     v_tgt = min_q - cfg.alpha * log_pi
     v_diff = agent.value.forward(obs)[:, 0] - v_tgt
     value_loss = float(np.mean(v_diff * v_diff))
-    v_grads, _ = agent.value.backward((2.0 / n) * v_diff[:, None])
-    rmsprop_step(agent.value.parameters(), flat_grads(v_grads), agent.opt_value, cfg.lr_value)
+    agent.value.backward((2.0 / n) * v_diff[:, None])
+    rmsprop_step(agent.value.params, agent.value.grads, agent.opt_value, cfg.lr_value)
 
     # Policy step: gradients reach the policy only through the fresh
     # actions and their log probabilities; Q parameters are left untouched.
@@ -286,13 +285,12 @@ def update(agent, batch, rng):
     pick_q1 = q1_new <= q2_new
     g1 = np.where(pick_q1, -1.0 / n, 0.0)[:, None]
     g2 = np.where(pick_q1, 0.0, -1.0 / n)[:, None]
-    _, din1 = agent.q1.backward(g1)
-    _, din2 = agent.q2.backward(g2)
+    din1 = agent.q1.backward(g1)
+    din2 = agent.q2.backward(g2)
     g_action = din1[:, OBS_DIM] + din2[:, OBS_DIM]
     g_log_pi = np.full(n, cfg.alpha / n)
-    trunk_g, mean_g, ls_g, _ = agent.policy.backward_sample(g_action, g_log_pi)
-    policy_grads = flat_grads(trunk_g) + flat_grads(mean_g) + flat_grads(ls_g)
-    rmsprop_step(agent.policy.parameters(), policy_grads, agent.opt_policy, cfg.lr_policy)
+    agent.policy.backward_sample(g_action, g_log_pi)
+    rmsprop_step(agent.policy.params, agent.policy.grads, agent.opt_policy, cfg.lr_policy)
 
     polyak_update(agent.value_target, agent.value, cfg.tau)
 

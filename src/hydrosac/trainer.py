@@ -9,6 +9,7 @@ from (seed, episode index).
 
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,6 +20,7 @@ from .env import EnvConfig, observe, reset, step
 from .neural import Mlp, PolicyNet, layer_from_weight
 from .sac import (
     EXPLORE_RANDOM,
+    OBS_DIM,
     STOCHASTIC,
     AgentBundle,
     ReplayBuffer,
@@ -172,6 +174,7 @@ class Checkpoint:
                 _mlp_from_params(self.networks["value"]),
                 _mlp_from_params(self.networks["value_target"]),
             )
+            _check_widths(agent)
             agent.opt_policy.load(self.optimizer_states["policy"])
             agent.opt_q1.load(self.optimizer_states["q1"])
             agent.opt_q2.load(self.optimizer_states["q2"])
@@ -183,6 +186,29 @@ class Checkpoint:
 
 def _mlp_from_params(params):
     return Mlp([layer_from_weight(w, b, act) for w, b, act in params])
+
+
+def _check_widths(agent):
+    """Raise ValueError unless the networks chain from the observation to one output."""
+    policy = agent.policy
+    if policy.trunk.widths[0] != OBS_DIM:
+        raise ValueError(f"network policy_trunk has widths {policy.trunk.widths}; "
+                         f"expected {OBS_DIM} inputs")
+    hidden = policy.trunk.widths[-1]
+    nets = {
+        "policy_mean_head": (policy.mean_head, hidden),
+        "policy_log_std_head": (policy.log_std_head, hidden),
+        "q1": (agent.q1, OBS_DIM + 1),
+        "q2": (agent.q2, OBS_DIM + 1),
+        "value": (agent.value, OBS_DIM),
+        "value_target": (agent.value_target, OBS_DIM),
+    }
+    for name, (net, n_in) in nets.items():
+        if net.widths[0] != n_in or net.widths[-1] != 1:
+            raise ValueError(f"network {name} has widths {net.widths}; "
+                             f"expected {n_in} inputs and 1 output")
+    if agent.value.widths != agent.value_target.widths:
+        raise ValueError("networks value and value_target differ in widths")
 
 
 def train(cfg, pools, checkpoint_path=None):
@@ -390,8 +416,24 @@ def save_checkpoint(ckpt, path):
         if ckpt.replay is None
         else {k: _encode_array(v) for k, v in ckpt.replay.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_atomic(path, lambda fh: json.dump(doc, fh))
+
+
+def _write_atomic(path, write):
+    """Run write(fh) on a temporary file beside `path`, then move it onto `path`.
+
+    A crash or an exception part way through leaves an existing file at
+    `path` untouched, and the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -452,8 +494,7 @@ def write_train_log(records, path):
             )
         )
         lines.append(f"{r.episode},{vals}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_eval_csv(report, path):

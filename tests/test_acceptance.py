@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from hydrosac import neural
 from hydrosac.env import EnvConfig, EnvState, reward, step
-from hydrosac.neural import LINEAR, RELU, PolicyNet, flat_grads, mlp_init, squashed_log_prob
+from hydrosac.neural import LINEAR, RELU, PolicyNet, mlp_init, squashed_log_prob
 from hydrosac.sac import SacConfig
 from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools
 from hydrosac.trainer import (
@@ -202,8 +202,8 @@ class TestCriterion3Gradients:
         x = rng.random(widths[0])
         loss_scale = float(net.forward(x)[0])
         net.forward(x)
-        grads, _ = net.backward(np.array([1.0]))
-        analytic = np.concatenate([g.ravel() for g in flat_grads(grads)])
+        net.backward(np.array([1.0]))
+        analytic = net.grads.copy()
         h = cls.H
         fd = np.empty_like(analytic)
         i = 0
@@ -240,12 +240,8 @@ class TestCriterion3Gradients:
             return c_action * a + c_log_prob * lp
 
         pol.sample(obs, Fixed())
-        tg, mg, lg, _ = pol.backward_sample(
-            np.array([c_action]), np.array([c_log_prob])
-        )
-        analytic = np.concatenate(
-            [g.ravel() for g in flat_grads(tg) + flat_grads(mg) + flat_grads(lg)]
-        )
+        pol.backward_sample(np.array([c_action]), np.array([c_log_prob]))
+        analytic = pol.grads.copy()
         h = cls.H
         fd = np.empty_like(analytic)
         i = 0

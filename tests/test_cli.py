@@ -332,3 +332,49 @@ class TestInspect:
         bad.write_text("not json at all")
         assert run(["inspect", "--checkpoint", str(bad)]) == 4
         assert "error" in capsys.readouterr().err
+
+
+def unknown_trunk_activation(doc):
+    doc["networks"]["policy_trunk"][0]["activation"] = "tanh"
+
+
+def narrow_trunk_input(doc):
+    # drop the last observation column from the first trunk layer and from
+    # its accumulator, so that every stored shape still agrees
+    layer = doc["networks"]["policy_trunk"][0]
+    rows, cols = layer["rows"], layer["cols"]
+    layer["weights"] = [w for i, w in enumerate(layer["weights"]) if i % cols != cols - 1]
+    layer["cols"] = cols - 1
+    acc = doc["optimizer_states"]["policy"][0]
+    assert acc["shape"] == [cols, rows]
+    acc["values"] = acc["values"][: (cols - 1) * rows]
+    acc["shape"] = [cols - 1, rows]
+
+
+def no_q1_layers(doc):
+    doc["networks"]["q1"] = []
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (unknown_trunk_activation, "unknown activation 'tanh'"),
+    (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
+    (no_q1_layers, "an Mlp needs at least one layer"),
+])
+def test_checkpoint_networks_must_fit_exit_4(
+    tamper, message, tmp_path, trained_files, pools_file, capsys
+):
+    ckpt, _ = trained_files
+    doc = json.loads(ckpt.read_text())
+    tamper(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["inspect", "--checkpoint", str(bad)]) == 4
+    assert run([
+        "plan", "--checkpoint", str(bad), "--pools", str(pools_file),
+        "--seed", "6", "--out", str(tmp_path / "plan.csv"),
+    ]) == 4
+    assert run([
+        "evaluate", "--checkpoint", str(bad), "--pools", str(pools_file),
+        "--episodes", "1", "--out", str(tmp_path / "e.csv"),
+    ]) == 4
+    assert message in capsys.readouterr().err

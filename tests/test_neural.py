@@ -11,7 +11,6 @@ from hydrosac.neural import (
     Mlp,
     PolicyNet,
     RmspropState,
-    flat_grads,
     layer_from_weight,
     mlp_init,
     rmsprop_step,
@@ -89,6 +88,44 @@ class TestMlpInit:
         with pytest.raises(ValueError):
             mlp_init([5, 0, 1], [RELU, LINEAR], np.random.default_rng(0))
 
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(ValueError, match="tanh"):
+            mlp_init([3, 4, 1], [RELU, "tanh"], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="tanh"):
+            layer_from_weight(np.eye(2), np.zeros(2), "tanh")
+        net = mlp_init([2, 2], [LINEAR], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="tanh"):
+            net.import_params([(np.eye(2), np.zeros(2), "tanh")])
+
+
+class TestFlatParameters:
+    def test_layer_arrays_are_views_of_params(self):
+        net = mlp_init([3, 4, 2], [RELU, LINEAR], np.random.default_rng(0))
+        assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+        assert np.array_equal(
+            net.params, np.concatenate([p.ravel() for p in net.parameters()]))
+        net.params[:] = np.arange(net.params.size)
+        assert net.layers[0].wt[0, 1] == 1.0
+        assert net.layers[1].bias[1] == net.params.size - 1
+
+    def test_copy_owns_its_vector(self):
+        net = mlp_init([3, 4, 2], [RELU, LINEAR], np.random.default_rng(0))
+        twin = net.copy()
+        assert np.array_equal(twin.params, net.params)
+        twin.params += 1.0
+        assert not np.shares_memory(twin.params, net.params)
+        assert not np.array_equal(twin.params, net.params)
+
+    def test_policy_packs_trunk_and_heads(self):
+        pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.1)
+        nets = (pol.trunk, pol.mean_head, pol.log_std_head)
+        assert pol.params.size == sum(n.params.size for n in nets)
+        assert np.array_equal(
+            pol.params, np.concatenate([p.ravel() for p in pol.parameters()]))
+        for net in nets:
+            assert np.shares_memory(net.params, pol.params)
+            assert np.shares_memory(net.grads, pol.grads)
+
 
 class TestForward:
     def test_zero_network(self):
@@ -130,18 +167,20 @@ class TestForward:
 class TestBackward:
     def test_zero_output_grad(self):
         net = mlp_init([3, 5, 1], [RELU, LINEAR], np.random.default_rng(0), final_layer_bound=0.3)
+        net.grads[:] = 1.0  # stale values must be overwritten
         net.forward(np.ones(3))
-        grads, gin = net.backward(np.zeros(1))
-        assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+        gin = net.backward(np.zeros(1))
+        assert np.all(net.grads == 0)
         assert np.all(gin == 0)
 
     def test_single_linear_layer_grads(self):
         net = Mlp([layer_from_weight(np.array([[2.0]]), np.array([1.0]), LINEAR)])
         x = np.array([3.0])
         net.forward(x)
-        grads, gin = net.backward(np.array([1.0]))
-        assert grads[0][0][0, 0] == 3.0  # d/dW = x
-        assert grads[0][1][0] == 1.0  # d/db = 1
+        gin = net.backward(np.array([1.0]))
+        dw, db = net.grads
+        assert dw == 3.0  # d/dW = x
+        assert db == 1.0  # d/db = 1
         assert gin[0] == 2.0  # d/dx = W
 
     def test_requires_cached_forward(self):
@@ -156,17 +195,17 @@ class TestBackward:
         x = rng.random(5)
 
         net.forward(x)
-        grads, _ = net.backward(np.array([1.0]))
+        net.backward(np.array([1.0]))
+        analytic = net.grads.copy()
         fd = fd_gradients(net.parameters(), lambda: float(net.forward(x)[0]))
-        assert max_rel_err(np.concatenate([g.ravel() for g in flat_grads(grads)]),
-                           np.concatenate([g.ravel() for g in fd])) < 1e-4
+        assert max_rel_err(analytic, np.concatenate([g.ravel() for g in fd])) < 1e-4
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         net = mlp_init([4, 6, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
         x = rng.random(4)
         net.forward(x)
-        _, gin = net.backward(np.array([1.0]))
+        gin = net.backward(np.array([1.0]))
         fd = np.empty(4)
         for i in range(4):
             xp = x.copy(); xp[i] += FD_STEP
@@ -175,11 +214,18 @@ class TestBackward:
         assert max_rel_err(gin, fd) < 1e-4
 
 
+def per_array_rmsprop(param, grad, acc, lr, rho, eps):
+    """The RMSprop formula applied to one array at a time."""
+    acc *= rho
+    acc += (1.0 - rho) * grad * grad
+    param -= lr * grad / (np.sqrt(acc) + eps)
+
+
 class TestRmsprop:
     def test_zero_grad_is_identity(self):
         p = np.array([1.0, -2.0])
         state = RmspropState([p])
-        rmsprop_step([p], [np.zeros(2)], state, lr=0.1)
+        rmsprop_step(p, np.zeros(2), state, lr=0.1)
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_fresh_state_step_magnitude(self):
@@ -187,7 +233,7 @@ class TestRmsprop:
         g = 3.0
         p = np.array([0.0])
         state = RmspropState([p], rho=0.99, eps=1e-8)
-        rmsprop_step([p], [np.array([g])], state, lr=1e-3)
+        rmsprop_step(p, np.array([g]), state, lr=1e-3)
         expected = -1e-3 * g / (np.sqrt(0.01 * g * g) + 1e-8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
         assert p[0] == pytest.approx(-1e-2, rel=1e-6)
@@ -197,23 +243,63 @@ class TestRmsprop:
             p = np.array([[1.0, 2.0], [3.0, 4.0]])
             state = RmspropState([p])
             for k in range(5):
-                rmsprop_step([p], [np.full((2, 2), 0.3 * (k + 1))], state, lr=0.01)
+                rmsprop_step(p.reshape(-1), np.full(4, 0.3 * (k + 1)), state, lr=0.01)
             return p
         assert np.array_equal(run(), run())
 
     def test_lr_zero_is_identity_with_state_update(self):
         p = np.array([1.0])
         state = RmspropState([p])
-        rmsprop_step([p], [np.array([5.0])], state, lr=0.0)
+        rmsprop_step(p, np.array([5.0]), state, lr=0.0)
         assert p[0] == 1.0
-        assert state.acc[0][0] > 0.0
+        assert state.acc[0] > 0.0
 
     def test_accumulator_nonnegative(self):
         p = np.random.default_rng(0).random((3, 3))
         state = RmspropState([p])
         for _ in range(20):
-            rmsprop_step([p], [np.random.default_rng(1).standard_normal((3, 3))], state, lr=1e-3)
-        assert np.all(state.acc[0] >= 0.0)
+            g = np.random.default_rng(1).standard_normal((3, 3))
+            rmsprop_step(p.reshape(-1), g.reshape(-1), state, lr=1e-3)
+        assert np.all(state.acc >= 0.0)
+
+    def test_size_mismatch_rejected(self):
+        p = np.zeros(3)
+        state = RmspropState([p])
+        with pytest.raises(ValueError):
+            rmsprop_step(np.zeros(4), np.zeros(4), state, lr=0.1)
+        with pytest.raises(ValueError):
+            rmsprop_step(p, np.zeros(2), state, lr=0.1)
+
+    def test_packed_step_matches_per_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        net = mlp_init([5, 7, 7, 1], [RELU, RELU, LINEAR], rng, final_layer_bound=0.5)
+        arrays = [p.copy() for p in net.parameters()]
+        accs = [np.zeros_like(p) for p in arrays]
+        state = RmspropState(net.parameters(), rho=0.9, eps=1e-8)
+        for step in range(6):
+            grads = rng.standard_normal(net.params.size) * 10.0 ** (step - 3)
+            net.grads[:] = grads
+            rmsprop_step(net.params, net.grads, state, lr=3e-3)
+            start = 0
+            for p, a in zip(arrays, accs):
+                g = grads[start:start + p.size].reshape(p.shape)
+                per_array_rmsprop(p, g, a, 3e-3, 0.9, 1e-8)
+                start += p.size
+            for mine, ref in zip(net.parameters(), arrays):
+                assert np.array_equal(mine, ref)
+            for mine, ref in zip(state.export(), accs):
+                assert mine.shape == ref.shape
+                assert np.array_equal(mine, ref)
+
+    def test_load_checks_each_array_shape(self):
+        p = [np.zeros((2, 3)), np.zeros(3)]
+        state = RmspropState(p)
+        state.load([np.ones((2, 3)), np.full(3, 2.0)])
+        assert np.array_equal(state.acc, [1.0] * 6 + [2.0] * 3)
+        with pytest.raises(ValueError):
+            state.load([np.ones((3, 2)), np.ones(3)])
+        with pytest.raises(ValueError):
+            state.load([np.ones((2, 3))])
 
 
 class TestPolicyForward:
@@ -320,19 +406,17 @@ class TestPolicyGradients:
             return c_action * a + c_log_prob * lp
 
         pol.sample(obs, noise)
-        tg, mg, lg, _ = pol.backward_sample(np.array([c_action]), np.array([c_log_prob]))
-        analytic = flat_grads(tg) + flat_grads(mg) + flat_grads(lg)
+        pol.backward_sample(np.array([c_action]), np.array([c_log_prob]))
+        analytic = pol.grads.copy()
         fd = fd_gradients(pol.parameters(), loss)
-        assert max_rel_err(
-            np.concatenate([g.ravel() for g in analytic]),
-            np.concatenate([g.ravel() for g in fd]),
-        ) < 1e-4
+        assert max_rel_err(analytic, np.concatenate([g.ravel() for g in fd])) < 1e-4
 
     def test_clamped_log_std_blocks_gradient(self):
         pol = PolicyNet.init(5, 6, np.random.default_rng(22), head_bound=0.1)
         pol.log_std_head.layers[0].bias[...] = 10.0  # clamped to +2 everywhere
         obs = np.random.default_rng(23).random(5)
+        pol.grads[:] = 1.0  # stale values must be overwritten
         pol.sample(obs, FixedNoise([0.3]))
-        _, _, ls_grads, _ = pol.backward_sample(np.array([0.0]), np.array([1.0]))
-        assert np.all(ls_grads[0][0] == 0.0)
-        assert np.all(ls_grads[0][1] == 0.0)
+        pol.backward_sample(np.array([0.0]), np.array([1.0]))
+        assert np.all(pol.log_std_head.grads == 0.0)
+        assert np.any(pol.trunk.grads != 0.0)

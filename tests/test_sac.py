@@ -177,6 +177,21 @@ class TestPolyak:
                 mlp_init([3, 2], [LINEAR], rng), mlp_init([3, 3], [LINEAR], rng), 0.5
             )
 
+    def test_matches_per_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        widths, acts = [5, 9, 9, 1], [RELU, RELU, LINEAR]
+        target = mlp_init(widths, acts, rng, final_layer_bound=0.5)
+        main = mlp_init(widths, acts, rng, final_layer_bound=0.5)
+        ref = [p.copy() for p in target.parameters()]
+        for tau in (0.0006, 0.3, 0.0006, 1e-9):
+            main.params += rng.standard_normal(main.params.size)
+            polyak_update(target, main, tau)
+            for t, m in zip(ref, main.parameters()):
+                t *= 1.0 - tau
+                t += tau * m
+            for mine, theirs in zip(target.parameters(), ref):
+                assert np.array_equal(mine, theirs)
+
 
 class TestSelectAction:
     def test_explore_random_uniform(self):
@@ -269,8 +284,6 @@ class TestUpdate:
     def test_policy_step_isolated_from_q_optimizer(self):
         agent = small_agent(seed=10, lr_q=0.0, lr_value=0.0)
         batch = batch_of([transition() for _ in range(4)])
-        q_acc_before = [a.copy() for a in agent.opt_q1.acc + agent.opt_q2.acc]
-        v_acc_before = [a.copy() for a in agent.opt_value.acc]
         policy_before = [p.copy() for p in agent.policy.parameters()]
         update(agent, batch, np.random.default_rng(4))
         # policy moved
@@ -282,10 +295,8 @@ class TestUpdate:
         # policy step: rerunning with a frozen policy leaves them identical
         agent2 = small_agent(seed=10, lr_q=0.0, lr_value=0.0, lr_policy=0.0)
         update(agent2, batch, np.random.default_rng(4))
-        for a, b in zip(agent.opt_q1.acc + agent.opt_q2.acc, agent2.opt_q1.acc + agent2.opt_q2.acc):
-            assert np.array_equal(a, b)
-        for a, b in zip(agent.opt_value.acc, agent2.opt_value.acc):
-            assert np.array_equal(a, b)
+        for name in ("opt_q1", "opt_q2", "opt_value"):
+            assert np.array_equal(getattr(agent, name).acc, getattr(agent2, name).acc)
 
     def test_identical_q_networks_make_min_either(self):
         agent = small_agent(seed=11)

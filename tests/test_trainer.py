@@ -107,6 +107,32 @@ class TestTrain:
         assert path.exists()
         assert load_checkpoint(path).episode == 3
 
+    def test_failed_periodic_save_keeps_previous_checkpoint(self, pools, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        cfg = small_cfg(total_weeks=156, exploration_weeks=156, checkpoint_every_episodes=1)
+        real_dump = json.dump
+        on_disk = []  # the checkpoint file's bytes as each save starts
+
+        def dump_then_fail_on_second_save(doc, fh):
+            on_disk.append(path.read_bytes() if path.exists() else None)
+            if len(on_disk) == 1:
+                return real_dump(doc, fh)
+            fh.write(json.dumps(doc)[:1000])  # a partial document, then the failure
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail_on_second_save)
+        with pytest.raises(OSError, match="disk full"):
+            train(cfg, pools, checkpoint_path=path)
+        monkeypatch.undo()
+        first = on_disk[1]
+        assert first is not None and path.read_bytes() == first
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        loaded = load_checkpoint(path)
+        assert loaded.episode == 1
+        again = tmp_path / "again.json"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == first
+
     def test_nonfinite_abort_keeps_partial_records(self, pools):
         cfg = small_cfg(total_weeks=208, exploration_weeks=0, seed=5)
         cfg.agent.lr_q = float("inf")  # drives the next q loss non-finite
