@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: gen-scenarios, train, evaluate, plan, inspect. Option values
-merge with precedence CLI flag > --config file > built-in default; the
-environment variable HYDROSAC_SEED supplies the seed when nothing else
-does. Exit codes: 0 success, 2 usage or input error, 3 training aborted on
-a non-finite loss, 4 corrupt artifact.
+Subcommands: gen-scenarios, train, evaluate, plan, inspect. Each settings
+flag sets one config field; values merge with precedence CLI flag >
+--config file > built-in default and are type-checked against the config
+dataclasses (an int is fine for a float field). The environment variable
+HYDROSAC_SEED supplies the seed when nothing else does. Exit codes: 0
+success, 2 usage or input error (bad settings included), 3 training aborted
+on a non-finite loss, 4 corrupt artifact (a checkpoint whose config echo
+does not decode or validate included).
 """
 
 import argparse
@@ -18,8 +21,8 @@ import numpy as np
 
 from . import scenario as sc
 from . import trainer as tr
-from .env import LAST_WEEK_PRICE, MAX_PRICE, EnvConfig
-from .sac import SacConfig, TrainingAborted
+from .env import LAST_WEEK_PRICE, MAX_PRICE
+from .sac import TrainingAborted
 from .scenario import ArtificialConfig, DataError
 from .trainer import CheckpointError, TrainConfig
 
@@ -50,92 +53,68 @@ def _load_config_file(path):
     unknown = sorted(set(doc) - {"train", "env", "artificial"})
     if unknown:
         raise CliError(f"unknown sections {unknown} in config file {path}")
-    try:
-        merged_train = dict(doc.get("train", {}))
-        if "env" in merged_train:
-            raise CliError(
-                "put the environment section at the top level ('env'), not inside 'train'"
-            )
-        merged_train["env"] = dict(doc.get("env", {}))
-        cfg = tr.train_config_from_dict(merged_train, where="config file")
-        artificial = tr._dataclass_from_dict(
-            ArtificialConfig, doc.get("artificial", {}), "artificial"
-        )
-    except CliError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise CliError(f"bad config file {path}: {e}")
-    given = {
-        "train": frozenset(doc.get("train", {})),
-        "env": frozenset(doc.get("env", {})),
+    return doc
+
+
+def _section(doc, name, path):
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"bad config file {path}: section '{name}' must be a JSON object")
+    return dict(section)
+
+
+def _settings(args):
+    """Overlay the settings flags given on the --config file and decode them.
+
+    Returns (TrainConfig, ArtificialConfig, given), where given maps each
+    section (train, agent, env, artificial) to the keys that the file or a
+    flag set; the defaults that depend on the pools' mode consult it.
+    """
+    path = args.config
+    doc = _load_config_file(path) if path else {}
+    train = _section(doc, "train", path)
+    if "env" in train:
+        raise CliError("put the environment section at the top level ('env'), not inside 'train'")
+    sections = {
+        "train": train,
+        "agent": _section(train, "agent", path),
+        "env": _section(doc, "env", path),
+        "artificial": _section(doc, "artificial", path),
     }
-    return cfg, artificial, given
+    flags = {key: value for key, value in vars(args).items() if "." in key}
+    if "env.r_max" in flags:  # --r-max also sizes the pools generated inline
+        flags["artificial.r_max"] = flags["env.r_max"]
+    for key, value in flags.items():
+        section, name = key.split(".")
+        sections[section][name] = value
+    try:
+        cfg = tr.config_from_dict(
+            TrainConfig, {**train, "agent": sections["agent"], "env": sections["env"]}, "train"
+        )
+        artificial = tr.config_from_dict(ArtificialConfig, sections["artificial"], "artificial")
+    except ValueError as e:  # flags are typed by argparse, so the file is at fault
+        raise CliError(f"bad config file {path}: {e}")
+    return cfg, artificial, {name: set(section) for name, section in sections.items()}
 
 
-def _load_config_or_defaults(args):
-    """Returns (train config, artificial config, keys the file explicitly set)."""
-    if getattr(args, "config", None):
-        return _load_config_file(args.config)
-    return TrainConfig(), ArtificialConfig(), {"train": frozenset(), "env": frozenset()}
-
-
-def _default_seed():
-    env = os.environ.get("HYDROSAC_SEED")
-    if env is not None:
+def _seed(value):
+    """`value` if given, else HYDROSAC_SEED, else 0."""
+    if value is None:
+        env = os.environ.get("HYDROSAC_SEED", "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise CliError(f"HYDROSAC_SEED must be an integer, got {env!r}")
-    return 0
+    if value < 0:
+        raise CliError(f"seed must be >= 0, got {value}")
+    return value
 
 
-def _pick(flag_value, fallback):
-    return fallback if flag_value is None else flag_value
-
-
-def _artificial_from_args(args, base):
-    cfg = dataclasses.replace(base)
-    for attr in (
-        "samples_per_week",
-        "price_low",
-        "price_noise",
-        "inflow_noise",
-        "annual_inflow",
-        "r_max",
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
-
-
-def _env_overrides(args):
-    pairs = (
-        ("f_max", "f_max"),
-        ("r_max", "r_max"),
-        ("k_price", "k_price"),
-        ("q_price", "q_price"),
-        ("init_low", "init_low"),
-        ("init_high", "init_high"),
-        ("terminal_low", "terminal_low"),
-        ("terminal_high", "terminal_high"),
-        ("terminal_rule", "terminal_price_rule"),
-    )
-    out = {}
-    for flag, attr in pairs:
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[attr] = value
-    return out
-
-
-def _agent_overrides(args):
-    out = {}
-    for attr in ("alpha", "gamma", "tau", "lr_value", "lr_q", "lr_policy", "hidden_width"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[attr] = value
-    return out
+def _artificial_pools(artificial, seed, mode=sc.ARTIFICIAL):
+    try:
+        return sc.generate_artificial_pools(artificial, seed, mode=mode)
+    except DataError as e:  # pools built here can only be bad through their settings
+        raise CliError(f"bad artificial settings: {e}")
 
 
 def _get_pools(args, artificial_cfg, seed):
@@ -147,29 +126,34 @@ def _get_pools(args, artificial_cfg, seed):
             raise CliError(f"pools file not found: {args.pools}")
         except DataError as e:
             raise CliError(str(e), code=EXIT_CORRUPT)
-    return sc.generate_artificial_pools(artificial_cfg, seed)
+    return _artificial_pools(artificial_cfg, seed)
+
+
+def _setting(p, flag, dest, **kwargs):
+    """Add a flag for config field dest ("section.field"); args holds it only when given."""
+    if "choices" not in kwargs and kwargs.get("action") != "store_true":
+        kwargs["metavar"] = flag[2:].replace("-", "_").upper()
+    p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
 
 
 def _add_artificial_flags(p):
-    p.add_argument("--samples-per-week", type=int, dest="samples_per_week")
-    p.add_argument("--price-low", type=float, dest="price_low")
-    p.add_argument("--price-noise", type=float, dest="price_noise")
-    p.add_argument("--inflow-noise", type=float, dest="inflow_noise")
-    p.add_argument("--annual-inflow", type=float, dest="annual_inflow")
+    _setting(p, "--samples-per-week", "artificial.samples_per_week", type=int)
+    _setting(p, "--price-low", "artificial.price_low", type=float)
+    _setting(p, "--price-noise", "artificial.price_noise", type=float)
+    _setting(p, "--inflow-noise", "artificial.inflow_noise", type=float)
+    _setting(p, "--annual-inflow", "artificial.annual_inflow", type=float)
 
 
 def _add_env_flags(p):
-    p.add_argument("--f-max", type=float, dest="f_max")
-    p.add_argument("--r-max", type=float, dest="r_max")
-    p.add_argument("--k-price", type=float, dest="k_price")
-    p.add_argument("--q-price", type=float, dest="q_price")
-    p.add_argument("--init-low", type=float, dest="init_low")
-    p.add_argument("--init-high", type=float, dest="init_high")
-    p.add_argument("--terminal-low", type=float, dest="terminal_low")
-    p.add_argument("--terminal-high", type=float, dest="terminal_high")
-    p.add_argument(
-        "--terminal-rule", choices=[LAST_WEEK_PRICE, MAX_PRICE], dest="terminal_rule"
-    )
+    _setting(p, "--f-max", "env.f_max", type=float)
+    _setting(p, "--r-max", "env.r_max", type=float)
+    _setting(p, "--k-price", "env.k_price", type=float)
+    _setting(p, "--q-price", "env.q_price", type=float)
+    _setting(p, "--init-low", "env.init_low", type=float)
+    _setting(p, "--init-high", "env.init_high", type=float)
+    _setting(p, "--terminal-low", "env.terminal_low", type=float)
+    _setting(p, "--terminal-high", "env.terminal_high", type=float)
+    _setting(p, "--terminal-rule", "env.terminal_price_rule", choices=[LAST_WEEK_PRICE, MAX_PRICE])
 
 
 def build_parser():
@@ -186,7 +170,7 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--prices", nargs="+", metavar="FILE")
     p.add_argument("--inflows", nargs="+", metavar="FILE")
-    p.add_argument("--r-max", type=float, dest="r_max")
+    _setting(p, "--r-max", "artificial.r_max", type=float)
     p.add_argument(
         "--synthetic-historic",
         action="store_true",
@@ -199,21 +183,21 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--out", default="checkpoint.json")
     p.add_argument("--log", default="train_log.csv")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--total-weeks", type=int, dest="total_weeks")
-    p.add_argument("--exploration-weeks", type=int, dest="exploration_weeks")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--include-replay", action="store_true")
+    _setting(p, "--seed", "train.seed", type=int)
+    _setting(p, "--total-weeks", "train.total_weeks", type=int)
+    _setting(p, "--exploration-weeks", "train.exploration_weeks", type=int)
+    _setting(p, "--batch-size", "train.batch_size", type=int)
+    _setting(p, "--checkpoint-every", "train.checkpoint_every_episodes", type=int)
+    _setting(p, "--include-replay", "train.include_replay_in_checkpoint", action="store_true")
     _add_env_flags(p)
     _add_artificial_flags(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--lr-value", type=float, dest="lr_value")
-    p.add_argument("--lr-q", type=float, dest="lr_q")
-    p.add_argument("--lr-policy", type=float, dest="lr_policy")
-    p.add_argument("--hidden-width", type=int, dest="hidden_width")
+    _setting(p, "--alpha", "agent.alpha", type=float)
+    _setting(p, "--gamma", "agent.gamma", type=float)
+    _setting(p, "--tau", "agent.tau", type=float)
+    _setting(p, "--lr-value", "agent.lr_value", type=float)
+    _setting(p, "--lr-q", "agent.lr_q", type=float)
+    _setting(p, "--lr-policy", "agent.lr_policy", type=float)
+    _setting(p, "--hidden-width", "agent.hidden_width", type=int)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint over sampled scenarios")
     p.add_argument("--checkpoint", required=True)
@@ -243,30 +227,28 @@ def build_parser():
 
 
 def cmd_gen_scenarios(args):
-    _, artificial, _ = _load_config_or_defaults(args)
-    seed = _pick(args.seed, _default_seed())
-    artificial = _artificial_from_args(args, artificial)
+    _, artificial, _ = _settings(args)
+    seed = _seed(args.seed)
     if args.mode == sc.ARTIFICIAL:
-        pools = sc.generate_artificial_pools(artificial, seed)
+        pools = _artificial_pools(artificial, seed)
     elif args.synthetic_historic:
         wide = dataclasses.replace(
             artificial,
             price_noise=max(artificial.price_noise, 0.5),
             inflow_noise=max(artificial.inflow_noise, 0.8),
         )
-        pools = sc.generate_artificial_pools(wide, seed, mode=sc.HISTORIC)
+        pools = _artificial_pools(wide, seed, mode=sc.HISTORIC)
     else:
         if not args.prices or not args.inflows:
             raise CliError(
                 "historic mode needs --prices and --inflows (or --synthetic-historic)"
             )
-        r_max = _pick(args.r_max, artificial.r_max)
         try:
             price_series = [sc.load_csv_series(f, sc.PRICE) for f in args.prices]
             inflow_series = [sc.load_csv_series(f, sc.INFLOW) for f in args.inflows]
         except FileNotFoundError as e:
             raise CliError(f"input file not found: {e.filename}")
-        pools = sc.build_pools(price_series, inflow_series, r_max)
+        pools = sc.build_pools(price_series, inflow_series, artificial.r_max)
     sc.save_pools(pools, args.out)
     for w in range(sc.WEEKS):
         print(
@@ -277,57 +259,19 @@ def cmd_gen_scenarios(args):
     return EXIT_OK
 
 
-def _build_train_config(args):
-    base, artificial, given = _load_config_or_defaults(args)
-    artificial = _artificial_from_args(args, artificial)
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in given["train"]:
-        seed = base.seed
-    else:
-        seed = _default_seed()
-    pools = _get_pools(args, artificial, seed)
-
-    env_overrides = _env_overrides(args)
-    env_kwargs = dataclasses.asdict(base.env)
-    env_kwargs.update(env_overrides)
-    # Default terminal valuation follows the data mode: last-week price for
-    # artificial pools, maximum price for historic ones.
-    if "terminal_price_rule" not in env_overrides and "terminal_price_rule" not in given["env"]:
-        env_kwargs["terminal_price_rule"] = (
-            MAX_PRICE if pools.mode == sc.HISTORIC else LAST_WEEK_PRICE
-        )
-    agent_kwargs = dataclasses.asdict(base.agent)
-    agent_kwargs.update(_agent_overrides(args))
-
-    if args.exploration_weeks is not None:
-        exploration = args.exploration_weeks
-    elif "exploration_weeks" in given["train"]:
-        exploration = base.exploration_weeks
-    else:
-        exploration = 50_000 if pools.mode == sc.HISTORIC else 10_000
-
-    cfg = TrainConfig(
-        total_weeks=_pick(args.total_weeks, base.total_weeks),
-        exploration_weeks=exploration,
-        batch_size=_pick(args.batch_size, base.batch_size),
-        seed=seed,
-        checkpoint_every_episodes=_pick(
-            args.checkpoint_every, base.checkpoint_every_episodes
-        ),
-        include_replay_in_checkpoint=args.include_replay
-        or base.include_replay_in_checkpoint,
-        pools_path=args.pools or "",
-        env=EnvConfig(**env_kwargs),
-        agent=SacConfig(**agent_kwargs),
-    )
-    if cfg.exploration_weeks > cfg.total_weeks:
-        cfg.exploration_weeks = cfg.total_weeks
-    return cfg, pools
-
-
 def cmd_train(args):
-    cfg, pools = _build_train_config(args)
+    cfg, artificial, given = _settings(args)
+    cfg.seed = _seed(cfg.seed if "seed" in given["train"] else None)
+    pools = _get_pools(args, artificial, cfg.seed)
+    cfg.pools_path = args.pools or ""
+    # Historic pools explore longer and value the end storage at the
+    # maximum price, unless the file or a flag says otherwise.
+    if pools.mode == sc.HISTORIC:
+        if "exploration_weeks" not in given["train"]:
+            cfg.exploration_weeks = 50_000
+        if "terminal_price_rule" not in given["env"]:
+            cfg.env.terminal_price_rule = MAX_PRICE
+    cfg.exploration_weeks = min(cfg.exploration_weeks, cfg.total_weeks)
     try:
         cfg.validate()
     except ValueError as e:
@@ -358,14 +302,15 @@ def _load_checkpoint_or_die(path):
 
 
 def _warn_env_mismatch(args, ckpt):
-    """The checkpoint's environment echo wins over CLI overrides."""
-    overrides = _env_overrides(args)
+    """The checkpoint's environment echo wins over the env flags given."""
     echo = dataclasses.asdict(ckpt.config.env)
-    for attr, value in overrides.items():
-        if echo.get(attr) != value:
+    for key, value in vars(args).items():
+        section, _, attr = key.partition(".")
+        if section == "env" and echo[attr] != value:
+            flag = "terminal-rule" if attr == "terminal_price_rule" else attr.replace("_", "-")
             print(
-                f"warning: --{attr.replace('_', '-')}={value} differs from the "
-                f"checkpoint's {attr}={echo.get(attr)}; using the checkpoint value",
+                f"warning: --{flag}={value} differs from the "
+                f"checkpoint's {attr}={echo[attr]}; using the checkpoint value",
                 file=sys.stderr,
             )
 
@@ -373,9 +318,8 @@ def _warn_env_mismatch(args, ckpt):
 def cmd_evaluate(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
     _warn_env_mismatch(args, ckpt)
-    _, artificial, _ = _load_config_or_defaults(args)
-    seed = _pick(args.seed, _default_seed())
-    artificial = _artificial_from_args(args, artificial)
+    _, artificial, _ = _settings(args)
+    seed = _seed(args.seed)
     pools = _get_pools(args, artificial, seed)
     if args.episodes < 1:
         raise CliError("--episodes must be >= 1")
@@ -424,19 +368,19 @@ def _load_scenario_csv(path):
         )
     prices = np.array([r[1] for r in rows])
     inflows = np.array([r[2] for r in rows])
-    if prices.min() < 0 or prices.max() > 1 or inflows.min() < 0 or inflows.max() > 1:
+    # written so that NaN, which fails every comparison, is out of range too
+    if not (np.all((prices >= 0) & (prices <= 1)) and np.all((inflows >= 0) & (inflows <= 1))):
         raise CliError(f"{path}: values must lie in [0, 1]", code=EXIT_CORRUPT)
     return sc.Scenario(prices=prices, inflows=inflows)
 
 
 def cmd_plan(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
-    seed = _pick(args.seed, _default_seed())
+    seed = _seed(args.seed)
     if args.scenario:
         scn = _load_scenario_csv(args.scenario)
     else:
-        _, artificial, _ = _load_config_or_defaults(args)
-        artificial = _artificial_from_args(args, artificial)
+        _, artificial, _ = _settings(args)
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
     agent = ckpt.restore_agent()

@@ -69,8 +69,9 @@ class ScenarioPools:
             for w, pool in enumerate(pools, start=1):
                 if len(pool) == 0:
                     raise DataError(f"empty {name} pool for week {w}")
-                if np.min(pool) < 0.0 or np.max(pool) > 1.0:
-                    raise DataError(f"{name} pool for week {w} outside [0, 1]")
+                # NaN fails both comparisons, so it is rejected here too
+                if not np.all((pool >= 0.0) & (pool <= 1.0)):
+                    raise DataError(f"{name} pool for week {w} has values outside [0, 1] or NaN")
 
 
 @dataclass

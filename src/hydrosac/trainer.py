@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("exploration_weeks must be <= total_weeks")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.env.validate()
         self.agent.validate()
 
@@ -93,22 +95,33 @@ class EvalReport:
         return np.array([e.total_reward for e in self.episodes])
 
 
-def _dataclass_from_dict(cls, data, where):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
+def config_from_dict(cls, doc, where):
+    """Build the config dataclass `cls` from a decoded JSON object, recursing into
+    nested configs. Raises ValueError for a non-object, an unknown key, or a value
+    whose JSON type does not fit the field's annotation. An int fits a float field
+    and stays an int, so a config echo reads back exactly as it was written.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} config must be a JSON object, not {type(doc).__name__}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ValueError(f"unknown keys {unknown} in {where} config")
-    return cls(**data)
+    values = {}
+    for name, value in doc.items():
+        kind = fields[name]
+        if dataclasses.is_dataclass(kind):
+            value = config_from_dict(kind, value, name)
+        elif not _fits(value, kind):
+            raise ValueError(f"{where} config: {name} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
-def train_config_from_dict(doc, where="train"):
-    doc = dict(doc)
-    env = _dataclass_from_dict(EnvConfig, doc.pop("env", {}), "env")
-    agent = _dataclass_from_dict(SacConfig, doc.pop("agent", {}), "agent")
-    cfg = _dataclass_from_dict(TrainConfig, doc, where)
-    cfg.env = env
-    cfg.agent = agent
-    return cfg
+def _fits(value, kind):
+    # bool is a subclass of int, but true and false fit only a bool field
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
 
 
 @dataclass
@@ -449,7 +462,8 @@ def load_checkpoint(path):
                 f"{path}: checkpoint version {version} not supported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        config = train_config_from_dict(doc["config"], where="checkpoint")
+        config = config_from_dict(TrainConfig, doc["config"], "checkpoint")
+        config.validate()
         networks = {
             name: [_decode_layer(layer) for layer in layers]
             for name, layers in doc["networks"].items()

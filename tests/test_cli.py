@@ -1,10 +1,16 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from hydrosac import cli
+from hydrosac import trainer as tr
 from hydrosac.cli import main
+from hydrosac.env import EnvConfig
+from hydrosac.sac import SacConfig
+from hydrosac.scenario import ArtificialConfig
 
 
 def run(argv):
@@ -243,10 +249,11 @@ class TestEvaluate:
         assert run([
             "evaluate", "--checkpoint", str(ckpt), "--pools", str(pools_file),
             "--episodes", "1", "--deterministic", "--f-max", "0.10",
-            "--seed", "1", "--out", str(overridden),
+            "--terminal-rule", "max_price", "--seed", "1", "--out", str(overridden),
         ]) == 0
         err = capsys.readouterr().err
         assert "warning" in err and "f-max" in err
+        assert "--terminal-rule=max_price differs" in err  # the flag as spelled on the command line
         # the checkpoint's environment echo wins: the override changed nothing
         assert plain.read_bytes() == overridden.read_bytes()
 
@@ -293,11 +300,14 @@ class TestPlan:
         assert len(lines) == 53
         assert all(l.split(",")[1] == "0.5" for l in lines[1:])
 
-    def test_short_scenario_rejected(self, tmp_path, trained_files):
+    @pytest.mark.parametrize("rows", [
+        [f"{w},0.5,0.01" for w in range(1, 52)],
+        [f"{w},{'nan' if w == 30 else 0.5},0.01" for w in range(1, 53)],
+    ], ids=["51_weeks", "nan_price"])
+    def test_short_scenario_rejected(self, rows, tmp_path, trained_files):
         ckpt, _ = trained_files
         scn = tmp_path / "scn.csv"
-        rows = ["week,price,inflow"] + [f"{w},0.5,0.01" for w in range(1, 52)]
-        scn.write_text("\n".join(rows) + "\n")
+        scn.write_text("\n".join(["week,price,inflow"] + rows) + "\n")
         code = run([
             "plan", "--checkpoint", str(ckpt), "--scenario", str(scn),
             "--out", str(tmp_path / "plan.csv"),
@@ -355,10 +365,20 @@ def no_q1_layers(doc):
     doc["networks"]["q1"] = []
 
 
+def echo_f_max_zero(doc):
+    doc["config"]["env"]["f_max"] = 0
+
+
+def echo_f_max_text(doc):
+    doc["config"]["env"]["f_max"] = "abc"
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
     (no_q1_layers, "an Mlp needs at least one layer"),
+    (echo_f_max_zero, "f_max must be in (0, 1]"),
+    (echo_f_max_text, "f_max must be float, got 'abc'"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -378,3 +398,190 @@ def test_checkpoint_networks_must_fit_exit_4(
         "--episodes", "1", "--out", str(tmp_path / "e.csv"),
     ]) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pool", ["price_pool", "inflow_pool"])
+def test_nan_in_pools_file_exit_4(pool, tmp_path, trained_files, pools_file, capsys):
+    ckpt, _ = trained_files
+    doc = json.loads(pools_file.read_text())
+    doc[pool][20][0] = float("nan")  # json writes NaN, which json reads back
+    bad = tmp_path / "pools.json"
+    bad.write_text(json.dumps(doc))
+    common = ["--pools", str(bad), "--seed", "1"]
+    assert run([
+        "train", *common, "--total-weeks", "52", "--hidden-width", "8",
+        "--out", str(tmp_path / "ck.json"), "--log", str(tmp_path / "log.csv"),
+    ]) == 4
+    assert run(["evaluate", "--checkpoint", str(ckpt), *common, "--out", str(tmp_path / "e.csv")]) == 4
+    assert run(["plan", "--checkpoint", str(ckpt), *common, "--out", str(tmp_path / "p.csv")]) == 4
+    assert "week 21 has values outside [0, 1] or NaN" in capsys.readouterr().err
+    assert not (tmp_path / "log.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# settings: flags over the config file over the defaults
+# ---------------------------------------------------------------------------
+
+def train_settings(monkeypatch, tmp_path, argv, config=None):
+    """The TrainConfig and pools that `train argv` hands to the trainer, without training."""
+    seen = {}
+
+    def fake_train(cfg, pools, checkpoint_path=None):
+        seen["cfg"], seen["pools"] = cfg, pools
+        return None, [tr.EpisodeRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert run([
+        "train", *argv, "--out", str(tmp_path / "ck.json"), "--log", str(tmp_path / "log.csv"),
+    ]) == 0
+    return seen["cfg"], seen["pools"]
+
+
+@pytest.fixture(scope="module")
+def historic_pools_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("historic") / "pools.json"
+    assert run([
+        "gen-scenarios", "--mode", "historic", "--synthetic-historic", "--seed", "3",
+        "--samples-per-week", "5", "--out", str(path),
+    ]) == 0
+    return path
+
+
+@pytest.mark.parametrize("historic, argv, config, exploration, rule", [
+    (True, [], None, 50_000, "max_price"),
+    (False, [], None, 10_000, "last_week_price"),
+    (True, ["--exploration-weeks", "7"], None, 7, "max_price"),
+    (True, ["--terminal-rule", "last_week_price"], None, 50_000, "last_week_price"),
+    (True, [], {"train": {"exploration_weeks": 9}, "env": {"terminal_price_rule": "last_week_price"}},
+     9, "last_week_price"),
+    (False, ["--exploration-weeks", "8"], {"train": {"exploration_weeks": 9}}, 8, "last_week_price"),
+    (True, ["--terminal-rule", "max_price"], {"env": {"terminal_price_rule": "last_week_price"}},
+     50_000, "max_price"),
+], ids=["historic", "artificial", "historic_flag", "historic_rule_flag", "historic_file",
+        "flag_over_file", "rule_flag_over_file"])
+def test_pools_mode_defaults(historic, argv, config, exploration, rule, monkeypatch, tmp_path,
+                             pools_file, historic_pools_file):
+    pools = historic_pools_file if historic else pools_file
+    cfg, _ = train_settings(monkeypatch, tmp_path, ["--pools", str(pools), *argv], config)
+    assert (cfg.exploration_weeks, cfg.env.terminal_price_rule) == (exploration, rule)
+
+
+def test_exploration_clamped_to_total_weeks(monkeypatch, tmp_path, historic_pools_file):
+    cfg, _ = train_settings(monkeypatch, tmp_path, ["--pools", str(historic_pools_file),
+                                                    "--total-weeks", "104"])
+    assert (cfg.total_weeks, cfg.exploration_weeks) == (104, 104)
+
+
+def test_r_max_flag_sizes_reservoir_and_inline_pools(monkeypatch, tmp_path):
+    cfg, pools = train_settings(monkeypatch, tmp_path, ["--r-max", "2000"],
+                                {"artificial": {"r_max": 500}, "env": {"r_max": 500}})
+    assert cfg.env.r_max == 2000.0
+    assert "of r_max 2000" in pools.provenance
+    # without the flag the file's two sections stay apart
+    cfg, pools = train_settings(monkeypatch, tmp_path, [], {"env": {"r_max": 700}})
+    assert cfg.env.r_max == 700 and "of r_max 1000" in pools.provenance
+
+
+def test_r_max_flag_on_gen_scenarios_and_evaluate(tmp_path, trained_files, monkeypatch):
+    out = tmp_path / "pools.json"
+    assert run(["gen-scenarios", "--mode", "artificial", "--r-max", "2000", "--out", str(out)]) == 0
+    assert "of r_max 2000" in json.loads(out.read_text())["provenance"]
+    seen = {}
+    real_evaluate = tr.evaluate
+
+    def spy(ckpt, pools, *rest):
+        seen["pools"] = pools
+        return real_evaluate(ckpt, pools, *rest)
+
+    monkeypatch.setattr(tr, "evaluate", spy)
+    ckpt, _ = trained_files
+    assert run([
+        "evaluate", "--checkpoint", str(ckpt), "--r-max", "2000", "--episodes", "1",
+        "--out", str(tmp_path / "e.csv"),
+    ]) == 0
+    assert "of r_max 2000" in seen["pools"].provenance
+
+
+@pytest.mark.parametrize("flag, file_seed, env_seed, expected", [
+    ("3", 5, "7", 3),
+    (None, 5, "7", 5),
+    (None, None, "7", 7),
+    (None, None, None, 0),
+    ("0", 5, None, 0),
+])
+def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_path, pools_file):
+    monkeypatch.delenv("HYDROSAC_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("HYDROSAC_SEED", env_seed)
+    argv = ["--pools", str(pools_file)] + ([] if flag is None else ["--seed", flag])
+    config = {"train": {} if file_seed is None else {"seed": file_seed}}
+    cfg, _ = train_settings(monkeypatch, tmp_path, argv, config)
+    assert cfg.seed == expected
+
+
+@pytest.mark.parametrize("command, argv, config, env, code, message", [
+    ("train", [], {"env": {"f_max": "abc"}}, None, 2, "f_max must be float"),
+    ("train", [], {"train": {"batch_size": 10.5}}, None, 2, "batch_size must be int"),
+    ("train", [], {"train": {"include_replay_in_checkpoint": 1}}, None, 2, "must be bool"),
+    ("train", [], {"train": {"agent": []}}, None, 2, "section 'agent' must be a JSON object"),
+    ("train", [], {"env": 3}, None, 2, "section 'env' must be a JSON object"),
+    ("gen-scenarios", [], {"artificial": {"samples_per_week": "10"}}, None, 2, "must be int"),
+    ("train", ["--samples-per-week", "0"], None, None, 2, "samples_per_week must be >= 1"),
+    ("gen-scenarios", ["--samples-per-week", "0"], None, None, 2, "samples_per_week must be >= 1"),
+    ("train", ["--seed", "-1"], None, None, 2, "seed must be >= 0"),
+    ("train", [], {"train": {"seed": -2}}, None, 2, "seed must be >= 0"),
+    ("train", [], None, "-3", 2, "seed must be >= 0"),
+    ("gen-scenarios", ["--seed", "-1"], None, None, 2, "seed must be >= 0"),
+    ("gen-scenarios", [], None, "-3", 2, "seed must be >= 0"),
+    ("evaluate", ["--seed", "-1"], None, None, 2, "seed must be >= 0"),
+    ("evaluate", [], None, "-3", 2, "seed must be >= 0"),
+    ("plan", ["--seed", "-1"], None, None, 2, "seed must be >= 0"),
+    ("plan", [], None, "-3", 2, "seed must be >= 0"),
+], ids=[
+    "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
+    "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
+    "train_seed_flag", "train_seed_file", "train_seed_env", "gen_seed_flag", "gen_seed_env",
+    "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
+])
+def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
+                                trained_files, capsys):
+    monkeypatch.delenv("HYDROSAC_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HYDROSAC_SEED", env)
+    ckpt, _ = trained_files
+    outputs = {
+        "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),
+                  "--log", str(tmp_path / "log.csv")],
+        "gen-scenarios": ["--mode", "artificial", "--out", str(tmp_path / "pools.json")],
+        "evaluate": ["--checkpoint", str(ckpt), "--episodes", "1", "--out", str(tmp_path / "e.csv")],
+        "plan": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "p.csv")],
+    }
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert run([command, *argv, *outputs[command]]) == code
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+def test_every_settings_flag_names_a_config_field():
+    sections = {"train": tr.TrainConfig, "agent": SacConfig, "env": EnvConfig,
+                "artificial": ArtificialConfig}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    counts = {}
+    for command, parser in subparsers.choices.items():
+        counts[command] = 0
+        for action in parser._actions:
+            if "." in action.dest:
+                section, field = action.dest.split(".")
+                names = {f.name for f in dataclasses.fields(sections[section])}
+                assert field in names, f"{command} {action.option_strings}: no field {action.dest}"
+                assert action.default is argparse.SUPPRESS
+                counts[command] += 1
+    assert counts == {"gen-scenarios": 6, "train": 27, "evaluate": 14, "plan": 5, "inspect": 0}

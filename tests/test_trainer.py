@@ -12,6 +12,7 @@ from hydrosac.trainer import (
     Checkpoint,
     CheckpointError,
     TrainConfig,
+    config_from_dict,
     constant_policy,
     evaluate,
     evaluate_policy_fn,
@@ -20,7 +21,6 @@ from hydrosac.trainer import (
     rollout,
     save_checkpoint,
     train,
-    train_config_from_dict,
     write_eval_csv,
     write_train_log,
 )
@@ -328,13 +328,35 @@ class TestConfigDict:
         import dataclasses
 
         cfg = small_cfg(env=EnvConfig(f_max=0.1))
-        back = train_config_from_dict(dataclasses.asdict(cfg))
+        back = config_from_dict(TrainConfig, dataclasses.asdict(cfg), "train")
         assert back == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):
-            train_config_from_dict({"bogus": 1})
+            config_from_dict(TrainConfig, {"bogus": 1}, "train")
         with pytest.raises(ValueError, match="unknown keys"):
-            train_config_from_dict({"env": {"bogus": 1}})
+            config_from_dict(TrainConfig, {"env": {"bogus": 1}}, "train")
         with pytest.raises(ValueError, match="unknown keys"):
-            train_config_from_dict({"agent": {"bogus": 1}})
+            config_from_dict(TrainConfig, {"agent": {"bogus": 1}}, "train")
+
+    @pytest.mark.parametrize("doc", [
+        {"total_weeks": 104.0},
+        {"total_weeks": "104"},
+        {"seed": True},
+        {"include_replay_in_checkpoint": 1},
+        {"pools_path": 3},
+        {"env": {"f_max": "abc"}},
+        {"env": {"f_max": None}},
+        {"env": {"terminal_price_rule": 1}},
+        {"agent": {"alpha": False}},
+        {"agent": []},
+        {"env": "x"},
+    ])
+    def test_wrong_json_types_rejected(self, doc):
+        with pytest.raises(ValueError, match="config"):
+            config_from_dict(TrainConfig, doc, "train")
+
+    def test_int_fits_float_field_and_stays_int(self):
+        cfg = config_from_dict(TrainConfig, {"agent": {"alpha": 0}}, "train")
+        assert cfg.agent.alpha == 0 and type(cfg.agent.alpha) is int
+        assert config_from_dict(ArtificialConfig, {"r_max": 500}, "artificial").r_max == 500
