@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .env import EnvConfig, EnvState, StepOutcome
-from .sac import AgentBundle, ReplayBuffer, SacConfig, Transition
+from .sac import AgentBundle, ReplayBuffer, SacConfig
 from .scenario import ArtificialConfig, Scenario, ScenarioPools
 from .trainer import Checkpoint, TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
@@ -19,7 +19,6 @@ __all__ = [
     "ScenarioPools",
     "StepOutcome",
     "TrainConfig",
-    "Transition",
     "evaluate",
     "load_checkpoint",
     "save_checkpoint",

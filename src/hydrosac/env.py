@@ -6,6 +6,7 @@ the release is limited by the storage present before this week's inflow,
 the inflow is added, and flooding (spill) is checked last.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +18,14 @@ WEEKS = 52
 LAST_WEEK_PRICE = "last_week_price"
 MAX_PRICE = "max_price"
 TERMINAL_PRICE_RULES = (LAST_WEEK_PRICE, MAX_PRICE)
+
+
+def require_finite(cfg, error=ValueError):
+    """Raise `error` if a float field of the dataclass `cfg` is NaN or infinite."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -32,6 +41,7 @@ class EnvConfig:
     terminal_price_rule: str = LAST_WEEK_PRICE
 
     def validate(self):
+        require_finite(self)
         if not 0.0 < self.f_max <= 1.0:
             raise ValueError("f_max must be in (0, 1]")
         if not 0.0 <= self.init_low <= self.init_high <= 1.0:

@@ -30,11 +30,6 @@ LOG_STD_MAX = 2.0
 SQUASH_PROB_FLOOR = 3e-6
 
 
-def _check_activation(name):
-    if name not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
-
-
 @dataclass
 class Layer:
     # Weights are held transposed, (in, out), because this BLAS runs
@@ -44,7 +39,9 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        _check_activation(self.activation)
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
 
     @property
     def weight(self):
@@ -148,19 +145,6 @@ class Mlp:
             (np.ascontiguousarray(layer.wt.T), layer.bias.copy(), layer.activation)
             for layer in self.layers
         ]
-
-    def import_params(self, params):
-        if len(params) != len(self.layers):
-            raise ValueError("layer count mismatch")
-        for layer, (weight, bias, activation) in zip(self.layers, params):
-            weight = np.asarray(weight, dtype=float)
-            bias = np.asarray(bias, dtype=float)
-            if weight.shape != layer.weight.shape or bias.shape != layer.bias.shape:
-                raise ValueError("parameter shape mismatch")
-            _check_activation(activation)
-            layer.wt[...] = weight.T
-            layer.bias[...] = bias
-            layer.activation = activation
 
     def copy(self):
         # the new Mlp copies the arrays into a vector of its own
@@ -389,8 +373,3 @@ class PolicyNet:
             "mean_head": self.mean_head.export_params(),
             "log_std_head": self.log_std_head.export_params(),
         }
-
-    def import_params(self, params):
-        self.trunk.import_params(params["trunk"])
-        self.mean_head.import_params(params["mean_head"])
-        self.log_std_head.import_params(params["log_std_head"])

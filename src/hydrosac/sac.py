@@ -7,6 +7,10 @@ V_target(next_obs); the value network regresses on min_k Q_k(obs, a~) -
 alpha * log pi(a~|obs) with fresh reparameterized actions a~; the policy
 ascends min_k Q_k(obs, a~) - alpha * log pi(a~|obs) through a~; the target
 value network trails the value network by Polyak averaging.
+
+Acting is not done here: training, evaluation and planning wrap
+`policy.sample` or `policy.mean_action` in an `(obs, rng) -> action`
+callable, which `trainer.play` calls once per week.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
+from .env import require_finite
 from .neural import (
     LINEAR,
     RELU,
@@ -25,11 +30,6 @@ from .neural import (
 
 OBS_DIM = 5
 
-EXPLORE_RANDOM = "explore_random"
-STOCHASTIC = "stochastic"
-DETERMINISTIC = "deterministic"
-ACTION_MODES = (EXPLORE_RANDOM, STOCHASTIC, DETERMINISTIC)
-
 
 class TrainingAborted(RuntimeError):
     """Raised when an update produces a non-finite loss."""
@@ -40,17 +40,8 @@ class TrainingAborted(RuntimeError):
         self.records = records
 
 
-@dataclass
-class Transition:
-    obs: np.ndarray  # (5,)
-    action: float  # in (0, 1)
-    reward: float
-    next_obs: np.ndarray  # (5,)
-    done: bool
-
-
 class ReplayBuffer:
-    """Unbounded transition store; nothing is ever evicted."""
+    """Unbounded transition store in five arrays that double when full; nothing is evicted."""
 
     def __init__(self, obs_dim=OBS_DIM, initial_capacity=1024):
         self._obs_dim = obs_dim
@@ -75,42 +66,22 @@ class ReplayBuffer:
     def __len__(self):
         return self._size
 
-    def push(self, t):
+    def push(self, obs, action, reward, next_obs, done):
         if self._size == len(self.actions):
             self._grow()
         i = self._size
-        self.obs[i] = t.obs
-        self.actions[i] = t.action
-        self.rewards[i] = t.reward
-        self.next_obs[i] = t.next_obs
-        self.done[i] = 1.0 if t.done else 0.0
+        self.obs[i] = obs
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_obs[i] = next_obs
+        self.done[i] = 1.0 if done else 0.0
         self._size += 1
-
-    def get(self, i):
-        if not 0 <= i < self._size:
-            raise IndexError(i)
-        return Transition(
-            obs=self.obs[i].copy(),
-            action=float(self.actions[i]),
-            reward=float(self.rewards[i]),
-            next_obs=self.next_obs[i].copy(),
-            done=bool(self.done[i]),
-        )
-
-    def sample_indices(self, batch_size, rng):
-        if self._size < batch_size:
-            raise ValueError(
-                f"buffer holds {self._size} transitions, need {batch_size}"
-            )
-        return rng.integers(0, self._size, size=batch_size)
-
-    def sample(self, batch_size, rng):
-        """Uniform draws with replacement, as a list of Transitions."""
-        return [self.get(int(i)) for i in self.sample_indices(batch_size, rng)]
 
     def sample_arrays(self, batch_size, rng):
         """Uniform draws with replacement, as batch arrays for update()."""
-        idx = self.sample_indices(batch_size, rng)
+        if self._size < batch_size:
+            raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
+        idx = rng.integers(0, self._size, size=batch_size)
         return (
             self.obs[idx],
             self.actions[idx],
@@ -147,6 +118,7 @@ class SacConfig:
     squash_prob_floor: float = 3e-6
 
     def validate(self):
+        require_finite(self)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
@@ -229,16 +201,6 @@ def compute_q_targets(batch, value_target, gamma):
     _, _, rewards, next_obs, done = batch
     v_next = value_target.forward(next_obs)[:, 0]
     return K.q_target(rewards, done, v_next, gamma)
-
-
-def select_action(agent, obs, mode, rng=None):
-    if mode == EXPLORE_RANDOM:
-        return float(rng.random())
-    if mode == STOCHASTIC:
-        return agent.policy.sample(obs, rng)[0]
-    if mode == DETERMINISTIC:
-        return agent.policy.mean_action(obs)
-    raise ValueError(f"unknown action mode {mode!r}; expected one of {ACTION_MODES}")
 
 
 def update(agent, batch, rng):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEEKS = 52
+from .env import WEEKS, require_finite
 
 PRICE = "price"
 INFLOW = "inflow"
@@ -67,6 +67,8 @@ class ScenarioPools:
             if len(pools) != WEEKS:
                 raise DataError(f"{name} pool must have {WEEKS} weeks")
             for w, pool in enumerate(pools, start=1):
+                if np.ndim(pool) != 1:
+                    raise DataError(f"{name} pool for week {w} must be a flat list of numbers")
                 if len(pool) == 0:
                     raise DataError(f"empty {name} pool for week {w}")
                 # NaN fails both comparisons, so it is rejected here too
@@ -93,6 +95,7 @@ class ArtificialConfig:
     r_max: float = 1000.0  # Mm3
 
     def validate(self):
+        require_finite(self, DataError)
         if self.samples_per_week < 1:
             raise DataError("samples_per_week must be >= 1")
         if self.price_noise < 0 or self.inflow_noise < 0:
@@ -146,8 +149,8 @@ def build_pools(price_series, inflow_series, r_max):
     """
     if not price_series or not inflow_series:
         raise DataError("need at least one price series and one inflow series")
-    if r_max <= 0:
-        raise DataError("r_max must be > 0")
+    if not 0 < r_max < np.inf:  # NaN fails too
+        raise DataError(f"r_max must be finite and > 0, got {r_max!r}")
     for series in list(price_series) + list(inflow_series):
         series.validate()
 

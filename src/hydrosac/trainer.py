@@ -1,10 +1,14 @@
 """Training orchestration, evaluation rollouts, and checkpoint persistence.
 
-Checkpoints are JSON documents whose floating point numbers are written as
-full-precision decimal strings, so a save/load round trip reproduces every
-64-bit value exactly. Training is one serialized loop driven by a single
-seeded generator; evaluation derives an independent generator per episode
-from (seed, episode index).
+Every simulated year, in training and in evaluation, is stepped by one
+generator, `play`, and every action comes from a callable
+`action_fn(obs, rng) -> action in [0, 1]`: uniform draws and then policy
+samples in training, the policy's mean or a sample in evaluation, or any
+baseline. Training is one serialized loop driven by a single seeded
+generator; evaluation derives an independent generator per episode from
+(seed, episode index). Checkpoints are JSON documents whose floating point
+numbers are written as full-precision decimal strings, so a save/load round
+trip reproduces every 64-bit value exactly.
 """
 
 import dataclasses
@@ -18,18 +22,7 @@ import numpy as np
 
 from .env import EnvConfig, observe, reset, step
 from .neural import Mlp, PolicyNet, layer_from_weight
-from .sac import (
-    EXPLORE_RANDOM,
-    OBS_DIM,
-    STOCHASTIC,
-    AgentBundle,
-    ReplayBuffer,
-    SacConfig,
-    Transition,
-    TrainingAborted,
-    select_action,
-    update,
-)
+from .sac import OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
 from .scenario import WEEKS, sample_scenario
 
 CHECKPOINT_VERSION = 1
@@ -192,6 +185,7 @@ class Checkpoint:
             agent.opt_q1.load(self.optimizer_states["q1"])
             agent.opt_q2.load(self.optimizer_states["q2"])
             agent.opt_value.load(self.optimizer_states["value"])
+            _check_finite(agent)
         except (KeyError, ValueError) as e:
             raise CheckpointError(f"checkpoint does not describe a valid agent: {e}") from None
         return agent
@@ -224,6 +218,35 @@ def _check_widths(agent):
         raise ValueError("networks value and value_target differ in widths")
 
 
+def _check_finite(agent):
+    """Raise ValueError if a network parameter or an optimizer accumulator is NaN or infinite."""
+    nets = ("policy", "q1", "q2", "value", "value_target")
+    vectors = {f"network {n}": getattr(agent, n).params for n in nets}
+    vectors.update({f"optimizer {n}": getattr(agent, f"opt_{n}").acc for n in nets[:4]})
+    for name, vector in vectors.items():
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{name} holds a non-finite value")
+
+
+def play(action_fn, scenario, env_cfg, rng):
+    """Step one 52-week year; yield (state, obs, action, outcome, next_obs) per week.
+
+    The year starts from reset(env_cfg, scenario, rng). Each week's action
+    is float(action_fn(obs, rng)), drawn only when the caller asks for the
+    week, so whatever the caller's loop body does with `rng` between two
+    weeks comes before the next action's draws. next_obs is the observation
+    of outcome.next_state, or zeros after the last week.
+    """
+    state = reset(env_cfg, scenario, rng)
+    obs = observe(state)
+    for _ in range(WEEKS):
+        action = float(action_fn(obs, rng))
+        outcome = step(state, action, scenario, env_cfg)
+        next_obs = np.zeros(OBS_DIM) if outcome.done else observe(outcome.next_state)
+        yield state, obs, action, outcome, next_obs
+        state, obs = outcome.next_state, next_obs
+
+
 def train(cfg, pools, checkpoint_path=None):
     """Run the training loop; returns (final Checkpoint, per-episode records).
 
@@ -244,24 +267,19 @@ def train(cfg, pools, checkpoint_path=None):
     steps_done = 0
     episode = 0
 
+    def act(obs, rng):
+        if steps_done < cfg.exploration_weeks:
+            return rng.random()
+        return agent.policy.sample(obs, rng)[0]
+
     while steps_done < cfg.total_weeks:
         t0 = time.perf_counter()
         scenario = sample_scenario(pools, rng)
-        state = reset(cfg.env, scenario, rng)
         ep_reward = 0.0
         ep_spill = 0.0
         ep_action_sum = 0.0
-        terminal_bonus = 0.0
-        end_storage = state.storage
-        for _ in range(WEEKS):
-            obs = observe(state)
-            mode = EXPLORE_RANDOM if steps_done < cfg.exploration_weeks else STOCHASTIC
-            action = select_action(agent, obs, mode, rng)
-            outcome = step(state, action, scenario, cfg.env)
-            next_obs = np.zeros(5) if outcome.done else observe(outcome.next_state)
-            buffer.push(
-                Transition(obs, action, outcome.reward, next_obs, outcome.done)
-            )
+        for _, obs, action, outcome, next_obs in play(act, scenario, cfg.env, rng):
+            buffer.push(obs, action, outcome.reward, next_obs, outcome.done)
             steps_done += 1
             if steps_done > cfg.exploration_weeks and len(buffer) >= cfg.batch_size:
                 try:
@@ -272,17 +290,12 @@ def train(cfg, pools, checkpoint_path=None):
             ep_reward += outcome.reward
             ep_spill += outcome.spill
             ep_action_sum += outcome.effective_action
-            end_storage = outcome.end_storage
-            if outcome.done:
-                terminal_bonus = outcome.terminal_bonus
-            else:
-                state = outcome.next_state
         records.append(
             EpisodeRecord(
                 episode=episode,
                 total_reward=ep_reward,
-                terminal_bonus=terminal_bonus,
-                end_storage=end_storage,
+                terminal_bonus=outcome.terminal_bonus,
+                end_storage=outcome.end_storage,
                 total_spill=ep_spill,
                 mean_action=ep_action_sum / WEEKS,
                 seconds=time.perf_counter() - t0,
@@ -303,31 +316,18 @@ def train(cfg, pools, checkpoint_path=None):
 
 
 def rollout(action_fn, scenario, env_cfg, rng):
-    """Roll one 52-week episode; action_fn(obs, rng) -> action in [0, 1].
+    """Play one year with action_fn(obs, rng) -> action in [0, 1].
 
     Returns (total_reward, trace) where trace rows are (week, price, inflow,
     effective action, end-of-week storage, reward, accumulated reward,
     spill).
     """
-    state = reset(env_cfg, scenario, rng)
     trace = np.empty((WEEKS, 8))
     total = 0.0
-    for w in range(WEEKS):
-        action = float(action_fn(observe(state), rng))
-        outcome = step(state, action, scenario, env_cfg)
+    for w, (state, _, _, outcome, _) in enumerate(play(action_fn, scenario, env_cfg, rng)):
         total += outcome.reward
-        trace[w] = (
-            state.week,
-            state.price,
-            state.inflow,
-            outcome.effective_action,
-            outcome.end_storage,
-            outcome.reward,
-            total,
-            outcome.spill,
-        )
-        if not outcome.done:
-            state = outcome.next_state
+        trace[w] = (state.week, state.price, state.inflow, outcome.effective_action,
+                    outcome.end_storage, outcome.reward, total, outcome.spill)
     return total, trace
 
 

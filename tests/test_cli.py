@@ -150,11 +150,11 @@ class TestTrain:
 
     def test_nonfinite_abort_exit_code(self, tmp_path, pools_file):
         log = tmp_path / "log.csv"
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             code = run([
                 "train", "--pools", str(pools_file), "--total-weeks", "104",
                 "--exploration-weeks", "0", "--batch-size", "10",
-                "--hidden-width", "8", "--seed", "1", "--lr-q", "inf",
+                "--hidden-width", "8", "--seed", "1", "--lr-q", "1e300",
                 "--out", str(tmp_path / "ck.json"), "--log", str(log),
             ])
         assert code == 3
@@ -373,12 +373,27 @@ def echo_f_max_text(doc):
     doc["config"]["env"]["f_max"] = "abc"
 
 
+def echo_alpha_nan(doc):
+    doc["config"]["agent"]["alpha"] = float("nan")  # json writes NaN, which json reads back
+
+
+def nan_policy_weight(doc):
+    doc["networks"]["policy_mean_head"][0]["weights"][3] = "nan"
+
+
+def minus_inf_accumulator(doc):
+    doc["optimizer_states"]["q1"][2]["values"][0] = "-inf"
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
     (no_q1_layers, "an Mlp needs at least one layer"),
     (echo_f_max_zero, "f_max must be in (0, 1]"),
     (echo_f_max_text, "f_max must be float, got 'abc'"),
+    (echo_alpha_nan, "alpha must be finite, got nan"),
+    (nan_policy_weight, "network policy holds a non-finite value"),
+    (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -400,11 +415,20 @@ def test_checkpoint_networks_must_fit_exit_4(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pool", ["price_pool", "inflow_pool"])
-def test_nan_in_pools_file_exit_4(pool, tmp_path, trained_files, pools_file, capsys):
+@pytest.mark.parametrize("pool, week, replace, message", [
+    # json writes NaN, which json reads back
+    ("price_pool", 20, lambda old: [float("nan")] + old[1:],
+     "price pool for week 21 has values outside [0, 1] or NaN"),
+    ("inflow_pool", 20, lambda old: [float("nan")] + old[1:],
+     "inflow pool for week 21 has values outside [0, 1] or NaN"),
+    ("price_pool", 0, lambda old: [old], "price pool for week 1 must be a flat list of numbers"),
+    ("price_pool", 0, lambda old: old[0], "price pool for week 1 must be a flat list of numbers"),
+], ids=["price_pool", "inflow_pool", "nested_week_pool", "scalar_week_pool"])
+def test_nan_in_pools_file_exit_4(pool, week, replace, message, tmp_path, trained_files, pools_file,
+                                  capsys):
     ckpt, _ = trained_files
     doc = json.loads(pools_file.read_text())
-    doc[pool][20][0] = float("nan")  # json writes NaN, which json reads back
+    doc[pool][week] = replace(doc[pool][week])
     bad = tmp_path / "pools.json"
     bad.write_text(json.dumps(doc))
     common = ["--pools", str(bad), "--seed", "1"]
@@ -414,7 +438,7 @@ def test_nan_in_pools_file_exit_4(pool, tmp_path, trained_files, pools_file, cap
     ]) == 4
     assert run(["evaluate", "--checkpoint", str(ckpt), *common, "--out", str(tmp_path / "e.csv")]) == 4
     assert run(["plan", "--checkpoint", str(ckpt), *common, "--out", str(tmp_path / "p.csv")]) == 4
-    assert "week 21 has values outside [0, 1] or NaN" in capsys.readouterr().err
+    assert capsys.readouterr().err.count(message) == 3
     assert not (tmp_path / "log.csv").exists()
 
 
@@ -541,17 +565,31 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("evaluate", [], None, "-3", 2, "seed must be >= 0"),
     ("plan", ["--seed", "-1"], None, None, 2, "seed must be >= 0"),
     ("plan", [], None, "-3", 2, "seed must be >= 0"),
+    ("train", ["--k-price", "nan"], None, None, 2, "k_price must be finite, got nan"),
+    ("train", ["--q-price", "inf"], None, None, 2, "q_price must be finite, got inf"),
+    ("train", ["--alpha", "nan"], None, None, 2, "alpha must be finite, got nan"),
+    ("train", ["--lr-policy", "nan"], None, None, 2, "lr_policy must be finite, got nan"),
+    ("train", [], {"train": {"agent": {"lr_q": float("inf")}}}, None, 2,
+     "lr_q must be finite, got inf"),
+    ("train", ["--pools", "{pools}", "--r-max", "nan"], None, None, 2,
+     "r_max must be finite, got nan"),
+    ("train", ["--pools", "{pools}", "--r-max", "inf"], None, None, 2,
+     "r_max must be finite, got inf"),
+    ("train", ["--annual-inflow", "inf"], None, None, 2, "annual_inflow must be finite, got inf"),
 ], ids=[
     "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
     "train_seed_flag", "train_seed_file", "train_seed_env", "gen_seed_flag", "gen_seed_env",
     "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
+    "train_k_price_nan", "train_q_price_inf", "train_alpha_nan", "train_lr_policy_nan",
+    "file_lr_q_inf", "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
 ])
 def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
-                                trained_files, capsys):
+                                trained_files, pools_file, capsys):
     monkeypatch.delenv("HYDROSAC_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("HYDROSAC_SEED", env)
+    argv = [arg.format(pools=pools_file) for arg in argv]
     ckpt, _ = trained_files
     outputs = {
         "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),

@@ -93,9 +93,6 @@ class TestMlpInit:
             mlp_init([3, 4, 1], [RELU, "tanh"], np.random.default_rng(0))
         with pytest.raises(ValueError, match="tanh"):
             layer_from_weight(np.eye(2), np.zeros(2), "tanh")
-        net = mlp_init([2, 2], [LINEAR], np.random.default_rng(0))
-        with pytest.raises(ValueError, match="tanh"):
-            net.import_params([(np.eye(2), np.zeros(2), "tanh")])
 
 
 class TestFlatParameters:

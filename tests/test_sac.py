@@ -6,18 +6,13 @@ import pytest
 from hydrosac import sac as sac_mod
 from hydrosac.neural import LINEAR, RELU, mlp_init
 from hydrosac.sac import (
-    DETERMINISTIC,
-    EXPLORE_RANDOM,
-    STOCHASTIC,
     AgentBundle,
     LossReport,
     ReplayBuffer,
     SacConfig,
-    Transition,
     TrainingAborted,
     compute_q_targets,
     polyak_update,
-    select_action,
     update,
 )
 
@@ -26,7 +21,8 @@ NEXT_OBS = np.linspace(0.2, 1.0, 5)
 
 
 def transition(reward=1.0, done=False, action=0.5):
-    return Transition(OBS.copy(), action, reward, NEXT_OBS.copy(), done)
+    """(obs, action, reward, next_obs, done), the arguments of ReplayBuffer.push."""
+    return OBS.copy(), action, reward, NEXT_OBS.copy(), done
 
 
 def small_agent(seed=0, **cfg_kwargs):
@@ -35,12 +31,13 @@ def small_agent(seed=0, **cfg_kwargs):
 
 
 def batch_of(transitions):
+    obs, actions, rewards, next_obs, done = zip(*transitions)
     return (
-        np.array([t.obs for t in transitions]),
-        np.array([t.action for t in transitions]),
-        np.array([t.reward for t in transitions]),
-        np.array([t.next_obs for t in transitions]),
-        np.array([1.0 if t.done else 0.0 for t in transitions]),
+        np.array(obs),
+        np.array(actions),
+        np.array(rewards),
+        np.array(next_obs),
+        np.array([1.0 if d else 0.0 for d in done]),
     )
 
 
@@ -58,62 +55,52 @@ class TestReplayBuffer:
     def test_push_counts(self):
         buf = ReplayBuffer()
         for _ in range(3):
-            buf.push(transition())
+            buf.push(*transition())
         assert len(buf) == 3
 
     def test_million_pushes_all_retrievable(self):
         buf = ReplayBuffer()
         t = transition()
         for _ in range(1_000_000):
-            buf.push(t)
+            buf.push(*t)
         assert len(buf) == 1_000_000
-        assert buf.get(0).reward == 1.0
-        assert buf.get(999_999).reward == 1.0
+        assert buf.rewards[0] == 1.0
+        assert buf.rewards[999_999] == 1.0
 
     def test_round_trip_bitwise(self):
         buf = ReplayBuffer()
-        t = Transition(
-            np.array([0.1, 0.2, 0.3, 0.4, 0.5]), 0.123456789012345678, -7.25,
-            np.array([0.9, 0.8, 0.7, 0.6, 0.5]), True,
-        )
-        buf.push(t)
-        back = buf.get(0)
-        assert np.array_equal(back.obs, t.obs)
-        assert back.action == t.action
-        assert back.reward == t.reward
-        assert np.array_equal(back.next_obs, t.next_obs)
-        assert back.done is True
+        obs = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        next_obs = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+        buf.push(obs, 0.123456789012345678, -7.25, next_obs, True)
+        back = buf.export_arrays()
+        assert np.array_equal(back["obs"], [obs])
+        assert back["actions"][0] == 0.123456789012345678
+        assert back["rewards"][0] == -7.25
+        assert np.array_equal(back["next_obs"], [next_obs])
+        assert back["done"][0] == 1.0
 
     def test_underfull_sampling_rejected(self):
         buf = ReplayBuffer()
-        buf.push(transition())
-        with pytest.raises(ValueError):
-            buf.sample(100, np.random.default_rng(0))
+        buf.push(*transition())
+        with pytest.raises(ValueError, match="holds 1 transitions, need 100"):
+            buf.sample_arrays(100, np.random.default_rng(0))
 
     def test_sampling_uniform(self):
         buf = ReplayBuffer()
-        buf.push(transition(reward=0.0))
-        buf.push(transition(reward=1.0))
+        buf.push(*transition(reward=0.0))
+        buf.push(*transition(reward=1.0))
         rng = np.random.default_rng(3)
-        picks = [buf.sample(1, rng)[0].reward for _ in range(100_000)]
+        picks = [buf.sample_arrays(1, rng)[2][0] for _ in range(100_000)]
         assert abs(np.mean(picks) - 0.5) < 0.01
 
     def test_sampling_deterministic(self):
         buf = ReplayBuffer()
         for k in range(50):
-            buf.push(transition(reward=float(k)))
+            buf.push(*transition(reward=float(k)))
         b1 = buf.sample_arrays(10, np.random.default_rng(5))
         b2 = buf.sample_arrays(10, np.random.default_rng(5))
         for a, b in zip(b1, b2):
             assert np.array_equal(a, b)
-
-    def test_sample_list_matches_arrays(self):
-        buf = ReplayBuffer()
-        for k in range(50):
-            buf.push(transition(reward=float(k)))
-        listed = buf.sample(10, np.random.default_rng(8))
-        arrays = buf.sample_arrays(10, np.random.default_rng(8))
-        assert np.array_equal(np.array([t.reward for t in listed]), arrays[2])
 
 
 class TestComputeQTargets:
@@ -193,36 +180,23 @@ class TestPolyak:
                 assert np.array_equal(mine, theirs)
 
 
-class TestSelectAction:
-    def test_explore_random_uniform(self):
-        agent = small_agent()
-        rng = np.random.default_rng(4)
-        draws = np.array(
-            [select_action(agent, OBS, EXPLORE_RANDOM, rng) for _ in range(100_000)]
-        )
-        assert abs(draws.mean() - 0.5) < 0.01
-        assert draws.min() >= 0.0 and draws.max() < 1.0
-
-    def test_deterministic_zero_policy(self):
+class TestPolicyActions:
+    def test_mean_action_of_zero_heads(self):
         agent = small_agent()
         for net in (agent.policy.mean_head, agent.policy.log_std_head):
             net.layers[0].wt[...] = 0.0
             net.layers[0].bias[...] = 0.0
-        assert select_action(agent, OBS, DETERMINISTIC) == 0.5
+        assert agent.policy.mean_action(OBS) == 0.5
 
-    def test_stochastic_matches_deterministic_at_min_std(self):
+    def test_sample_matches_mean_action_at_min_std(self):
         agent = small_agent(seed=5)
         agent.policy.log_std_head.layers[0].wt[...] = 0.0
         agent.policy.log_std_head.layers[0].bias[...] = -30.0  # clamp to -20
         rng = np.random.default_rng(6)
-        det = select_action(agent, OBS, DETERMINISTIC)
+        det = agent.policy.mean_action(OBS)
         for _ in range(10):
-            sto = select_action(agent, OBS, STOCHASTIC, rng)
+            sto = agent.policy.sample(OBS, rng)[0]
             assert sto == pytest.approx(det, abs=1e-4)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            select_action(small_agent(), OBS, "greedy", np.random.default_rng(0))
 
 
 class TestUpdate:
@@ -252,7 +226,7 @@ class TestUpdate:
         t = transition(reward=5.0, done=True)
         batch = batch_of([t] * 4)
         rng = np.random.default_rng(1)
-        qa = np.concatenate([OBS, [t.action]])
+        qa = np.concatenate([OBS, [t[1]]])  # t[1] is the action
         errors = []
         for _ in range(1000):
             update(agent, batch, rng)
@@ -300,7 +274,7 @@ class TestUpdate:
 
     def test_identical_q_networks_make_min_either(self):
         agent = small_agent(seed=11)
-        agent.q2.import_params(agent.q1.export_params())
+        agent.q2.params[...] = agent.q1.params
         batch = batch_of([transition() for _ in range(4)])
         qa = np.concatenate([batch[0], batch[1][:, None]], axis=1)
         q1_out = agent.q1.forward(qa)[:, 0]

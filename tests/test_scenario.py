@@ -102,6 +102,11 @@ class TestBuildPools:
                 [full_series(sc.PRICE, 0.0)], [full_series(sc.INFLOW)], r_max=1000.0
             )
 
+    @pytest.mark.parametrize("r_max", [0.0, float("nan"), float("inf")])
+    def test_r_max_must_be_finite_and_positive(self, r_max):
+        with pytest.raises(DataError, match="r_max must be finite and > 0"):
+            build_pools([full_series(sc.PRICE)], [full_series(sc.INFLOW)], r_max=r_max)
+
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
         a = RawSeries(sc.PRICE, [(2010, w, float(rng.uniform(1, 9))) for w in range(1, 53)], "a")

@@ -17,6 +17,7 @@ from hydrosac.trainer import (
     evaluate,
     evaluate_policy_fn,
     load_checkpoint,
+    play,
     random_policy,
     rollout,
     save_checkpoint,
@@ -135,8 +136,8 @@ class TestTrain:
 
     def test_nonfinite_abort_keeps_partial_records(self, pools):
         cfg = small_cfg(total_weeks=208, exploration_weeks=0, seed=5)
-        cfg.agent.lr_q = float("inf")  # drives the next q loss non-finite
-        with np.errstate(invalid="ignore"):
+        cfg.agent.lr_q = 1e300  # drives the q losses non-finite within a few updates
+        with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingAborted) as exc_info:
                 train(cfg, pools)
         assert exc_info.value.records is not None
@@ -144,6 +145,59 @@ class TestTrain:
     def test_rejects_bad_config(self, pools):
         with pytest.raises(ValueError):
             train(small_cfg(exploration_weeks=500, total_weeks=104), pools)
+
+    def test_reference_run_byte_identical(self, tmp_path):
+        # A fixed-seed run whose training log (minus the wall-clock column)
+        # and checkpoint must not change under a refactor.
+        cfg = TrainConfig(total_weeks=2080, exploration_weeks=520, batch_size=100, seed=5,
+                          include_replay_in_checkpoint=True)
+        ckpt_path, log_path = tmp_path / "ck.json", tmp_path / "log.csv"
+        _, records = train(cfg, generate_artificial_pools(ArtificialConfig(), seed=11),
+                           checkpoint_path=ckpt_path)
+        write_train_log(records, log_path)
+        lines = log_path.read_text().splitlines()
+        log_digest = hashlib.sha256(
+            "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()).hexdigest()
+        ckpt_digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
+        versions = (f"digests taken with numpy 2.4.6 and OpenBLAS 0.3.31; "
+                    f"this is numpy {np.__version__}")
+        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed ({versions})"
+        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed ({versions})"
+
+    def test_rejects_nonfinite_settings(self, pools):
+        for cfg in (small_cfg(env=EnvConfig(k_price=float("nan"))),
+                    small_cfg(env=EnvConfig(q_price=float("inf"))),
+                    small_cfg(agent=SacConfig(hidden_width=12, lr_policy=float("nan")))):
+            with pytest.raises(ValueError, match="must be finite"):
+                train(cfg, pools)
+
+
+class TestPlay:
+    def test_weeks_chain(self, pools):
+        rng = np.random.default_rng(0)
+        scenario = tr.sample_scenario(pools, rng)
+        weeks = list(play(random_policy, scenario, EnvConfig(), rng))
+        assert [state.week for state, *_ in weeks] == list(range(1, 53))
+        for (_, _, _, outcome, next_obs), (_, obs, *_) in zip(weeks, weeks[1:]):
+            assert not outcome.done and next_obs is obs
+        _, _, _, last, next_obs = weeks[-1]
+        assert last.done and last.next_state is None
+        assert np.array_equal(next_obs, np.zeros(5))
+
+    def test_action_drawn_after_the_loop_body(self, pools):
+        # the caller's use of rng for week w comes before week w+1's action draw
+        bodies_done = []
+
+        def action_fn(obs, rng):
+            bodies_done.append(len(seen))
+            return 0.5
+
+        seen = []
+        rng = np.random.default_rng(1)
+        for _, _, action, _, _ in play(action_fn, tr.sample_scenario(pools, rng), EnvConfig(), rng):
+            seen.append(action)
+        assert bodies_done == list(range(52))
+        assert seen == [0.5] * 52
 
 
 class TestCheckpointRoundTrip:
