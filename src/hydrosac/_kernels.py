@@ -1,10 +1,12 @@
-"""Elementwise numeric kernels: activations, the squashed-Gaussian sample and
-its gradient, and the soft Bellman target.
+"""Elementwise numeric kernels: the squashed-Gaussian sample and its
+gradient, and the soft Bellman target.
 
 Everything is vectorized numpy; matrix products stay on numpy's BLAS. Each
 kernel is deterministic, so training is bit-reproducible from its seed.
-The optimizer updates (RMSprop, Polyak) are not kernels here: they run as
-in-place chains over each network's flat parameter vector (see neural.py).
+ReLU and the optimizer updates (RMSprop, Polyak) are not kernels here: the
+Mlp applies ReLU in place in its forward pass and masks by the cached
+output in its backward passes, and the optimizers run as in-place chains
+over each network's flat parameter vector (see neural.py).
 """
 
 import numpy as np
@@ -22,14 +24,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Keeps sigmoid outputs strictly inside (0, 1) in 64-bit arithmetic.
 ACTION_MARGIN = 1e-12
-
-
-def relu(z):
-    return np.maximum(z, 0.0)
-
-
-def relu_backward(grad, z):
-    return grad * (z > 0.0)
 
 
 def q_target(reward, done, v_next, gamma):

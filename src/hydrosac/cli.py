@@ -399,8 +399,7 @@ def cmd_plan(args):
             f"{int(week)},{float(price)!r},{float(inflow)!r},{float(action)!r},"
             f"{float(release)!r},{float(storage)!r},{float(spill)!r},{float(reward)!r}"
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    sc._write_atomic(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
     print(f"total reward: {total:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -3,10 +3,12 @@
 Everything is float64. Each network keeps all of its weights and biases in
 one contiguous vector, `params`; every layer's arrays are views into it.
 A matching vector, `grads`, receives the parameter gradients, so an
-optimizer step is a single elementwise chain over one vector. An Mlp caches
-its forward activations so a backward call can produce exact reverse-mode
-gradients for all parameters plus the gradient with respect to the input
-(needed to push value gradients through actions). The policy network adds
+optimizer step is a single elementwise chain over one vector. An Mlp's
+forward caches only the layer inputs and the final output; a ReLU output is
+positive exactly where its pre-activation is, so it doubles as the backward
+mask. Each reverse pass computes only what its caller reads: `backward`
+fills `grads`, `input_grad` returns the gradient with respect to the input
+(needed to push Q gradients through actions). The policy network adds
 a squashed-Gaussian head pair on top of a shared trunk: it emits a mean and
 a clamped log standard deviation, samples with reparameterized noise, and
 squashes through a sigmoid so actions stay in (0, 1).
@@ -61,7 +63,7 @@ def _views(flat, shapes):
 
 
 class Mlp:
-    """Fully connected stack; forward caches activations for one backward.
+    """Fully connected stack; forward caches activations for one reverse pass.
 
     The layers' arrays are copied into one vector, `params`, in the order
     of parameters(); `grads` has the same layout.
@@ -99,38 +101,48 @@ class Mlp:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         a = x[None, :] if single else x
-        cache = []
+        acts = [a]
         for layer in self.layers:
-            z = a @ layer.wt + layer.bias
-            cache.append((a, z))
-            a = K.relu(z) if layer.activation == RELU else z
-        self._cache = cache
+            a = a @ layer.wt
+            a += layer.bias
+            if layer.activation == RELU:
+                np.maximum(a, 0.0, out=a)
+            acts.append(a)
+        self._cache = acts
         return a[0] if single else a
 
-    def backward(self, output_grad):
-        """Gradients of a scalar objective given d(objective)/d(output).
+    def backward(self, output_grad, to_input=False):
+        """Fill `grads` given d(objective)/d(output); consumes the forward cache.
 
-        Fills `grads` with d(objective)/d(params) and returns
-        d(objective)/d(input). Requires a preceding forward call; consumes
-        its cache.
+        Returns d(objective)/d(input) only if `to_input` (the policy heads feed the trunk).
         """
+        return self._backprop(output_grad, True, to_input)
+
+    def input_grad(self, output_grad):
+        """d(objective)/d(input) given d(objective)/d(output); consumes the cache, skips `grads`."""
+        return self._backprop(output_grad, False, True)
+
+    def _backprop(self, output_grad, fill_grads, to_input):
         if self._cache is None:
-            raise RuntimeError("backward called without a cached forward pass")
+            raise RuntimeError("backward pass without a cached forward pass")
+        acts, self._cache = self._cache, None
         g = np.asarray(output_grad, dtype=float)
         single = g.ndim == 1
         if single:
             g = g[None, :]
         for k in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[k]
-            dw, db = self._grad_views[k]
-            x, z = self._cache[k]
-            if layer.activation == RELU:
-                g = K.relu_backward(g, z)
-            np.matmul(x.T, g, out=dw)
-            g.sum(axis=0, out=db)
-            g = g @ np.ascontiguousarray(layer.wt.T)
-        self._cache = None
-        return g[0] if single else g
+            wt = self.layers[k].wt
+            if self.layers[k].activation == RELU:
+                g = g * (acts[k + 1] > 0.0)
+            if fill_grads:
+                dw, db = self._grad_views[k]
+                np.matmul(acts[k].T, g, out=dw)
+                g.sum(axis=0, out=db)
+            if k or to_input:
+                # for a width-1 layer the k=1 gemm and this broadcast give the same bits
+                g = g * wt[:, 0] if wt.shape[1] == 1 else g @ np.ascontiguousarray(wt.T)
+        if to_input:
+            return g[0] if single else g
 
     def parameters(self):
         out = []
@@ -331,23 +343,19 @@ class PolicyNet:
         return float(action[0]) if single else action
 
     def backward_heads(self, g_mean, g_log_std):
-        """Backprop given gradients on the two head outputs.
-
-        Fills `grads` and returns the gradient with respect to the observations.
-        """
+        """Backprop given gradients on the two head outputs; fills `grads`."""
         g_mean = np.asarray(g_mean, dtype=float)
         g_log_std = np.asarray(g_log_std, dtype=float) * self._clamp_mask
-        dh_mean = self.mean_head.backward(g_mean[:, None])
-        dh_ls = self.log_std_head.backward(g_log_std[:, None])
-        return self.trunk.backward(dh_mean + dh_ls)
+        dh_mean = self.mean_head.backward(g_mean[:, None], to_input=True)
+        dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
+        self.trunk.backward(dh_mean + dh_ls)
 
     def backward_sample(self, g_action, g_log_prob):
         """Backprop through the most recent sample() call.
 
         Takes gradients with respect to the sampled action and its log
         probability; routes them through the reparameterization (noise held
-        fixed) into `grads`. Returns the gradient with respect to the
-        observations.
+        fixed) into `grads`.
         """
         if self._sample_cache is None:
             raise RuntimeError("backward_sample called without a cached sample")
@@ -358,7 +366,7 @@ class PolicyNet:
             np.asarray(g_log_prob, dtype=float),
             action, std, noise, self.prob_floor,
         )
-        return self.backward_heads(g_mean, g_log_std)
+        self.backward_heads(g_mean, g_log_std)
 
     def parameters(self):
         return (

@@ -242,13 +242,13 @@ def update(agent, batch, rng):
     rmsprop_step(agent.value.params, agent.value.grads, agent.opt_value, cfg.lr_value)
 
     # Policy step: gradients reach the policy only through the fresh
-    # actions and their log probabilities; Q parameters are left untouched.
+    # actions and their log probabilities; the Q nets give input gradients only.
     policy_loss = float(np.mean(cfg.alpha * log_pi - min_q))
     pick_q1 = q1_new <= q2_new
     g1 = np.where(pick_q1, -1.0 / n, 0.0)[:, None]
     g2 = np.where(pick_q1, 0.0, -1.0 / n)[:, None]
-    din1 = agent.q1.backward(g1)
-    din2 = agent.q2.backward(g2)
+    din1 = agent.q1.input_grad(g1)
+    din2 = agent.q2.input_grad(g2)
     g_action = din1[:, OBS_DIM] + din2[:, OBS_DIM]
     g_log_pi = np.full(n, cfg.alpha / n)
     agent.policy.backward_sample(g_action, g_log_pi)

@@ -9,6 +9,7 @@ reservoir capacity and clamped to [0, 1].
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +269,24 @@ def sample_scenario(pools, rng):
     return Scenario(prices=prices, inflows=inflows)
 
 
+def _write_atomic(path, write):
+    """Run write(fh) on a temporary file beside `path`, then move it onto `path`.
+
+    Every output file (pools, checkpoints, logs and CSVs) is written this
+    way: a crash or an exception part way through leaves an existing file
+    at `path` untouched, and the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_pools(pools, path):
     pools.validate()
     doc = {
@@ -277,8 +296,7 @@ def save_pools(pools, path):
         "price_pool": [list(map(float, p)) for p in pools.price_pool],
         "inflow_pool": [list(map(float, p)) for p in pools.inflow_pool],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
 def load_pools(path):

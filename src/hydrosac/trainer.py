@@ -13,7 +13,6 @@ trip reproduces every 64-bit value exactly.
 
 import dataclasses
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +22,7 @@ import numpy as np
 from .env import EnvConfig, observe, reset, step
 from .neural import Mlp, PolicyNet, layer_from_weight
 from .sac import OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
-from .scenario import WEEKS, sample_scenario
+from .scenario import WEEKS, _write_atomic, sample_scenario
 
 CHECKPOINT_VERSION = 1
 
@@ -432,23 +431,6 @@ def save_checkpoint(ckpt, path):
     _write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
-def _write_atomic(path, write):
-    """Run write(fh) on a temporary file beside `path`, then move it onto `path`.
-
-    A crash or an exception part way through leaves an existing file at
-    `path` untouched, and the temporary file is removed.
-    """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -518,5 +500,4 @@ def write_eval_csv(report, path):
             week = int(row[0])
             vals = ",".join(repr(float(v)) for v in row[1:7])
             lines.append(f"{ep.index},{week},{vals}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))

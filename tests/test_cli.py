@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hydrosac import cli
+from hydrosac import scenario as sc
 from hydrosac import trainer as tr
 from hydrosac.cli import main
 from hydrosac.env import EnvConfig
@@ -440,6 +441,48 @@ def test_nan_in_pools_file_exit_4(pool, week, replace, message, tmp_path, traine
     assert run(["plan", "--checkpoint", str(ckpt), *common, "--out", str(tmp_path / "p.csv")]) == 4
     assert capsys.readouterr().err.count(message) == 3
     assert not (tmp_path / "log.csv").exists()
+
+
+def open_failing_writes(real_open=open):
+    """An `open` whose files opened for writing take half of the first write, then fail."""
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = write
+        return fh
+
+    return fake_open
+
+
+@pytest.mark.parametrize("command", ["gen-scenarios", "evaluate", "plan"])
+def test_failed_write_keeps_previous_output(command, tmp_path, trained_files, pools_file,
+                                            monkeypatch, capsys):
+    ckpt, _ = trained_files
+    out = tmp_path / "out"
+    argv = {
+        "gen-scenarios": ["gen-scenarios", "--mode", "artificial", "--samples-per-week", "10"],
+        "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--pools", str(pools_file),
+                     "--episodes", "2"],
+        "plan": ["plan", "--checkpoint", str(ckpt), "--pools", str(pools_file)],
+    }[command] + ["--out", str(out)]
+    assert run(argv + ["--seed", "1"]) == 0
+    previous = out.read_bytes()
+    # every output file is written by the one shared writer in hydrosac.scenario
+    monkeypatch.setattr(sc, "open", open_failing_writes(), raising=False)
+    assert run(argv + ["--seed", "2"]) == cli.EXIT_USAGE
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    monkeypatch.undo()
+    assert run(argv + ["--seed", "2"]) == 0
+    assert out.read_bytes() != previous
 
 
 # ---------------------------------------------------------------------------

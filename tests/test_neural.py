@@ -166,24 +166,34 @@ class TestBackward:
         net = mlp_init([3, 5, 1], [RELU, LINEAR], np.random.default_rng(0), final_layer_bound=0.3)
         net.grads[:] = 1.0  # stale values must be overwritten
         net.forward(np.ones(3))
-        gin = net.backward(np.zeros(1))
+        net.backward(np.zeros(1))
         assert np.all(net.grads == 0)
+        net.forward(np.ones(3))
+        gin = net.input_grad(np.zeros(1))
         assert np.all(gin == 0)
 
     def test_single_linear_layer_grads(self):
         net = Mlp([layer_from_weight(np.array([[2.0]]), np.array([1.0]), LINEAR)])
         x = np.array([3.0])
         net.forward(x)
-        gin = net.backward(np.array([1.0]))
+        net.backward(np.array([1.0]))
         dw, db = net.grads
         assert dw == 3.0  # d/dW = x
         assert db == 1.0  # d/db = 1
+        net.forward(x)
+        gin = net.input_grad(np.array([1.0]))
         assert gin[0] == 2.0  # d/dx = W
 
     def test_requires_cached_forward(self):
+        # both reverse passes need a forward first, and each one consumes it
         net = mlp_init([3, 5, 1], [RELU, LINEAR], np.random.default_rng(0))
-        with pytest.raises(RuntimeError):
-            net.backward(np.ones(1))
+        for reverse in (net.backward, net.input_grad):
+            with pytest.raises(RuntimeError):
+                reverse(np.ones(1))
+            net.forward(np.ones(3))
+            reverse(np.ones(1))
+            with pytest.raises(RuntimeError):
+                reverse(np.ones(1))
 
     def test_matches_finite_differences(self):
         # finite-difference oracle on a random 5 -> 3 -> 1 network
@@ -202,13 +212,80 @@ class TestBackward:
         net = mlp_init([4, 6, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
         x = rng.random(4)
         net.forward(x)
-        gin = net.backward(np.array([1.0]))
+        net.backward(np.array([1.0]))
+        net.forward(x)
+        gin = net.input_grad(np.array([1.0]))
         fd = np.empty(4)
         for i in range(4):
             xp = x.copy(); xp[i] += FD_STEP
             xm = x.copy(); xm[i] -= FD_STEP
             fd[i] = (net.forward(xp)[0] - net.forward(xm)[0]) / (2 * FD_STEP)
         assert max_rel_err(gin, fd) < 1e-4
+
+    def test_batch_input_grad_matches_finite_differences(self):
+        # a deep batch case: relu layers wider than 1 and a width-1 output
+        rng = np.random.default_rng(16)
+        net = mlp_init([6, 9, 7, 1], [RELU, RELU, LINEAR], rng, final_layer_bound=0.5)
+        xs = rng.random((3, 6))
+        weights = rng.standard_normal((3, 1))
+        net.forward(xs)
+        gin = net.input_grad(weights)
+        assert gin.shape == xs.shape
+        loss = lambda x: float(np.sum(net.forward(x) * weights))
+        fd = np.empty_like(xs)
+        for idx in np.ndindex(*xs.shape):
+            xp = xs.copy(); xp[idx] += FD_STEP
+            xm = xs.copy(); xm[idx] -= FD_STEP
+            fd[idx] = (loss(xp) - loss(xm)) / (2 * FD_STEP)
+        assert max_rel_err(gin, fd) < 1e-4
+
+    def test_input_grad_leaves_grads_untouched(self):
+        rng = np.random.default_rng(17)
+        net = mlp_init([6, 9, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
+        sentinel = rng.standard_normal(net.grads.size)
+        net.grads[:] = sentinel
+        net.forward(rng.random((4, 6)))
+        net.input_grad(rng.standard_normal((4, 1)))
+        assert net.grads.tobytes() == sentinel.tobytes()
+
+    def test_backward_to_input_matches_input_grad(self):
+        rng = np.random.default_rng(18)
+        net = mlp_init([6, 9, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
+        xs, g = rng.random((4, 6)), rng.standard_normal((4, 1))
+        net.forward(xs)
+        assert net.backward(g) is None
+        grads = net.grads.copy()
+        net.forward(xs)
+        gin = net.backward(g, to_input=True)
+        assert net.grads.tobytes() == grads.tobytes()
+        net.forward(xs)
+        assert gin.tobytes() == net.input_grad(g).tobytes()
+
+    def test_zero_pre_activation_gets_zero_gradient(self):
+        # unit 0 sits exactly at the kink, unit 1 is active, unit 2 is off
+        net = Mlp([layer_from_weight(np.eye(3), np.array([0.0, 0.0, -1.0]), RELU),
+                   layer_from_weight(np.ones((1, 3)), np.zeros(1), LINEAR)])
+        x = np.array([[0.0, 2.0, 0.5], [0.0, 1.0, 0.0]])
+        g = np.ones((2, 1))
+        net.forward(x)
+        gin = net.input_grad(g)
+        assert np.array_equal(gin, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        net.forward(x)
+        net.backward(g)
+        dw_hidden = net.grads[:9].reshape(3, 3)  # (in, out)
+        assert np.all(dw_hidden[:, [0, 2]] == 0.0)
+        assert np.array_equal(net.grads[9:12], [0.0, 2.0, 0.0])  # hidden biases
+
+    def test_width_one_broadcast_equals_gemm_bits(self):
+        rng = np.random.default_rng(19)
+        for rows, width in ((1, 5), (100, 100), (37, 6)):
+            g = rng.standard_normal((rows, 1))
+            wt = rng.standard_normal((width, 1))
+            gemm = g @ np.ascontiguousarray(wt.T)
+            assert (g * wt[:, 0]).tobytes() == gemm.tobytes()
+            net = Mlp([layer_from_weight(wt.T, np.zeros(1), LINEAR)])
+            net.forward(rng.random((rows, width)))
+            assert net.input_grad(g).tobytes() == gemm.tobytes()
 
 
 def per_array_rmsprop(param, grad, acc, lr, rho, eps):
