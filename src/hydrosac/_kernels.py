@@ -31,12 +31,15 @@ def q_target(reward, done, v_next, gamma):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    # overflows; `where` picks the branch per element. The lower branch takes
+    # exp of z itself, not of -|z|, so that a NaN keeps its sign bit.
+    # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost.
     pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, ACTION_MARGIN, 1.0 - ACTION_MARGIN)
+    e = np.exp(np.where(pos, -z, z))
+    d = 1.0 + e
+    return np.minimum(np.maximum(np.where(pos, 1.0 / d, e / d), ACTION_MARGIN),
+                      1.0 - ACTION_MARGIN)
 
 
 def squash_sample(mean, log_std, noise, prob_floor):

@@ -291,7 +291,7 @@ class PolicyNet:
         self.log_std_max = log_std_max
         self.prob_floor = prob_floor
         self._sample_cache = None
-        self._clamp_mask = None
+        self._raw_log_std = None
 
     @classmethod
     def init(cls, obs_dim, hidden_width, rng, head_bound=3e-3, **kwargs):
@@ -310,8 +310,9 @@ class PolicyNet:
         h = self.trunk.forward(obs[None, :] if single else obs)
         mean = self.mean_head.forward(h)[:, 0]
         raw = self.log_std_head.forward(h)[:, 0]
-        log_std = np.clip(raw, self.log_std_min, self.log_std_max)
-        self._clamp_mask = (raw >= self.log_std_min) & (raw <= self.log_std_max)
+        # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost
+        log_std = np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
+        self._raw_log_std = raw
         if single:
             return float(mean[0]), float(log_std[0])
         return mean, log_std
@@ -334,18 +335,25 @@ class PolicyNet:
         return action, log_prob, z
 
     def mean_action(self, obs):
-        """Deterministic action: the squashed mean, no sampling noise."""
+        """Deterministic action: the squashed mean, no sampling noise.
+
+        Runs only the trunk and the mean head, so it leaves the log-std
+        head's cache from the last forward() in place. Its bits equal those
+        of squash_sample(mean, 0, 0)'s action.
+        """
         obs = np.asarray(obs, dtype=float)
         single = obs.ndim == 1
-        mean, _ = self.forward(obs[None, :] if single else obs)
-        action = K.squash_sample(mean, np.zeros_like(mean), np.zeros_like(mean),
-                                 self.prob_floor)[0]
+        h = self.trunk.forward(obs[None, :] if single else obs)
+        action = K._sigmoid(self.mean_head.forward(h)[:, 0])
         return float(action[0]) if single else action
 
     def backward_heads(self, g_mean, g_log_std):
         """Backprop given gradients on the two head outputs; fills `grads`."""
         g_mean = np.asarray(g_mean, dtype=float)
-        g_log_std = np.asarray(g_log_std, dtype=float) * self._clamp_mask
+        raw = self._raw_log_std
+        # a clamped log-std passes no gradient
+        g_log_std = np.asarray(g_log_std, dtype=float) * (
+            (raw >= self.log_std_min) & (raw <= self.log_std_max))
         dh_mean = self.mean_head.backward(g_mean[:, None], to_input=True)
         dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
         self.trunk.backward(dh_mean + dh_ls)

@@ -258,15 +258,20 @@ def generate_artificial_pools(cfg, seed, mode=ARTIFICIAL):
 
 
 def sample_scenario(pools, rng):
-    """Draw one price and one inflow per week, independently and uniformly."""
-    prices = np.empty(WEEKS)
-    inflows = np.empty(WEEKS)
-    for w in range(WEEKS):
-        ppool = pools.price_pool[w]
-        ipool = pools.inflow_pool[w]
-        prices[w] = ppool[rng.integers(0, len(ppool))]
-        inflows[w] = ipool[rng.integers(0, len(ipool))]
-    return Scenario(prices=prices, inflows=inflows)
+    """Draw one price and one inflow per week, independently and uniformly.
+
+    The draw order is part of the contract, because training and evaluation
+    replay a seeded generator: one index per draw, uniform over that draw's
+    pool, week by week and the price before the inflow (week-1 price,
+    week-1 inflow, week-2 price, ...). The 104 indices come from one
+    `rng.integers` call with one bound per draw, which yields the same
+    values and leaves the generator in the same state as one scalar call
+    per draw in that order.
+    """
+    by_draw = [pool for pair in zip(pools.price_pool, pools.inflow_pool) for pool in pair]
+    picks = rng.integers(0, [len(pool) for pool in by_draw]).tolist()
+    values = np.array([pool[i] for pool, i in zip(by_draw, picks)])
+    return Scenario(prices=values[0::2], inflows=values[1::2])
 
 
 def _write_atomic(path, write):

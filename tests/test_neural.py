@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from hydrosac import neural
+from hydrosac._kernels import ACTION_MARGIN, _sigmoid, squash_sample
 from hydrosac.neural import (
     LINEAR,
     LOG_STD_MAX,
@@ -467,6 +468,54 @@ class TestPolicyMeanAction:
             assert action == pytest.approx(deterministic, abs=1e-4)
 
 
+def two_branch_sigmoid(z):
+    """The sigmoid as first written: each branch on its own elements, then np.clip."""
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, ACTION_MARGIN, 1.0 - ACTION_MARGIN)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+TINY = np.finfo(float).smallest_subnormal
+SIGMOID_GRID = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 1e3, -1e3, 800.0, -800.0],
+    [np.nan, -np.nan],  # a NaN from an invalid operation has the sign bit set
+    [TINY, -TINY, 1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny],
+    np.linspace(-40.0, 40.0, 80_001),  # both clip edges lie near |z| = 27.6
+    np.random.default_rng(0).standard_normal(10_000) * 30.0,
+])
+
+
+class TestSigmoidAndMeanAction:
+    def test_bits_equal_two_branch_formula(self):
+        assert np.array_equal(bits(_sigmoid(SIGMOID_GRID)), bits(two_branch_sigmoid(SIGMOID_GRID)))
+
+    def test_no_floating_point_errors(self):
+        # exp underflows past |z| ~ 708 here as in the two-branch formula,
+        # which numpy ignores by default; everything else raises
+        with np.errstate(all="raise"):
+            _sigmoid(SIGMOID_GRID[~(np.abs(SIGMOID_GRID) > 700.0)])  # NaN stays in
+        with np.errstate(all="raise", under="ignore"):
+            _sigmoid(SIGMOID_GRID)
+
+    @pytest.mark.parametrize("batch", [1, 100])
+    def test_mean_action_is_squash_sample_without_noise(self, batch):
+        pol = PolicyNet.init(5, 8, np.random.default_rng(31), head_bound=2.0)
+        obs = np.random.default_rng(32).standard_normal((batch, 5)) * 30.0
+        mean, _ = pol.forward(obs)
+        zeros = np.zeros_like(mean)
+        expected = squash_sample(mean, zeros, zeros, pol.prob_floor)[0]
+        assert np.array_equal(bits(pol.mean_action(obs)), bits(expected))
+        if batch == 1:
+            assert bits(pol.mean_action(obs[0])) == bits(expected[0])
+
+
 class TestPolicyGradients:
     def test_sample_path_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -494,3 +543,29 @@ class TestPolicyGradients:
         pol.backward_sample(np.array([0.0]), np.array([1.0]))
         assert np.all(pol.log_std_head.grads == 0.0)
         assert np.any(pol.trunk.grads != 0.0)
+
+    def test_mean_action_between_forward_and_backward(self):
+        # mean_action refreshes only the trunk and mean head, with the same
+        # values for the same obs; the log-std clamp still blocks its gradient
+        pol = PolicyNet.init(5, 6, np.random.default_rng(22), head_bound=0.1)
+        pol.log_std_head.layers[0].bias[...] = 10.0  # clamped to +2 everywhere
+        obs = np.random.default_rng(23).random(5)
+        pol.grads[:] = 1.0
+        pol.sample(obs, FixedNoise([0.3]))
+        pol.mean_action(obs)
+        pol.backward_sample(np.array([0.0]), np.array([1.0]))
+        assert np.all(pol.log_std_head.grads == 0.0)
+        assert np.any(pol.trunk.grads != 0.0)
+
+    def test_mean_action_leaves_sample_gradients_unchanged(self):
+        pol = PolicyNet.init(5, 6, np.random.default_rng(24), head_bound=0.5)
+        obs = np.random.default_rng(25).random((7, 5))
+        noise = FixedNoise(np.random.default_rng(26).standard_normal(7))
+        g_action, g_log_prob = np.linspace(-1.0, 1.0, 7), np.full(7, 0.3)
+        pol.sample(obs, noise)
+        pol.backward_sample(g_action, g_log_prob)
+        plain = pol.grads.copy()
+        pol.sample(obs, noise)
+        pol.mean_action(obs)
+        pol.backward_sample(g_action, g_log_prob)
+        assert np.array_equal(bits(pol.grads), bits(plain))

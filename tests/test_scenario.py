@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,57 @@ class TestSampleScenario:
             w = int(rng.integers(0, 52))
             assert scn.prices[w] in pools.price_pool[w]
             assert scn.inflows[w] in pools.inflow_pool[w]
+
+
+def per_draw_reference(pools, rng):
+    """The draw-order contract as a loop: one scalar integers() call per draw,
+    week by week, the price before the inflow."""
+    prices, inflows = [], []
+    for ppool, ipool in zip(pools.price_pool, pools.inflow_pool):
+        prices.append(ppool[rng.integers(0, len(ppool))])
+        inflows.append(ipool[rng.integers(0, len(ipool))])
+    return prices, inflows
+
+
+def pools_of_sizes(price_sizes, inflow_sizes):
+    # range() stands in for a pool: it has a length and an item per index, so
+    # a pool past 2**32 entries costs no memory
+    return SimpleNamespace(price_pool=[range(n) for n in price_sizes],
+                           inflow_pool=[range(n) for n in inflow_sizes])
+
+
+MIXED_SIZES = [1, 2, 7, 100, 10_000]
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("price_sizes, inflow_sizes", [
+        ([1] * 52, [1] * 52),
+        ([2] * 52, [2] * 52),
+        ([7] * 52, [7] * 52),
+        ([100] * 52, [100] * 52),
+        ([10_000] * 52, [10_000] * 52),
+        ((MIXED_SIZES * 11)[:52], (MIXED_SIZES[::-1] * 11)[3:55]),
+        ([3, 2**32 + 7, 2**40] * 17 + [5], [2**32 - 1, 2**32, 2**32 + 1, 1] * 13),
+    ], ids=["1", "2", "7", "100", "10000", "mixed", "past-2**32"])
+    @pytest.mark.parametrize("half_word_buffered", [False, True])
+    def test_one_call_matches_per_draw_stream(self, price_sizes, inflow_sizes,
+                                              half_word_buffered):
+        pools = pools_of_sizes(price_sizes, inflow_sizes)
+        versions = f"stream checked on numpy 2.4.6; this is numpy {np.__version__}"
+        for seed in range(20):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if half_word_buffered:
+                # a bounded draw below 2**32 uses 32 of the generator's 64 bits
+                # and keeps the other half for the next 32-bit draw
+                mine.integers(0, 10)
+                ref.integers(0, 10)
+                assert mine.bit_generator.state["has_uint32"] == 1
+            scn = sample_scenario(pools, mine)
+            prices, inflows = per_draw_reference(pools, ref)
+            assert scn.prices.tolist() == prices, versions
+            assert scn.inflows.tolist() == inflows, versions
+            assert mine.bit_generator.state == ref.bit_generator.state, versions
+            assert mine.random() == ref.random(), versions
 
 
 class TestPoolsFile:

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from hydrosac import cli
 from hydrosac import trainer as tr
 from hydrosac.env import EnvConfig
 from hydrosac.sac import SacConfig, TrainingAborted
-from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools
+from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools, save_pools
 from hydrosac.trainer import (
     Checkpoint,
     CheckpointError,
@@ -49,6 +50,22 @@ def trained(pools):
     cfg = small_cfg()
     ckpt, records = train(cfg, pools)
     return cfg, ckpt, records
+
+
+VERSIONS = f"digests taken with numpy 2.4.6 and OpenBLAS 0.3.31; this is numpy {np.__version__}"
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """Directory holding the fixed-seed reference run: ck.json, log.csv, pools.json."""
+    path = tmp_path_factory.mktemp("reference")
+    cfg = TrainConfig(total_weeks=2080, exploration_weeks=520, batch_size=100, seed=5,
+                      include_replay_in_checkpoint=True)
+    pools = generate_artificial_pools(ArtificialConfig(), seed=11)
+    _, records = train(cfg, pools, checkpoint_path=path / "ck.json")
+    write_train_log(records, path / "log.csv")
+    save_pools(pools, path / "pools.json")
+    return path
 
 
 def params_digest(ckpt):
@@ -146,23 +163,32 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(small_cfg(exploration_weeks=500, total_weeks=104), pools)
 
-    def test_reference_run_byte_identical(self, tmp_path):
+    def test_reference_run_byte_identical(self, reference_run):
         # A fixed-seed run whose training log (minus the wall-clock column)
         # and checkpoint must not change under a refactor.
-        cfg = TrainConfig(total_weeks=2080, exploration_weeks=520, batch_size=100, seed=5,
-                          include_replay_in_checkpoint=True)
-        ckpt_path, log_path = tmp_path / "ck.json", tmp_path / "log.csv"
-        _, records = train(cfg, generate_artificial_pools(ArtificialConfig(), seed=11),
-                           checkpoint_path=ckpt_path)
-        write_train_log(records, log_path)
-        lines = log_path.read_text().splitlines()
+        lines = (reference_run / "log.csv").read_text().splitlines()
         log_digest = hashlib.sha256(
             "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()).hexdigest()
-        ckpt_digest = hashlib.sha256(ckpt_path.read_bytes()).hexdigest()
-        versions = (f"digests taken with numpy 2.4.6 and OpenBLAS 0.3.31; "
-                    f"this is numpy {np.__version__}")
-        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed ({versions})"
-        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed ({versions})"
+        ckpt_digest = hashlib.sha256((reference_run / "ck.json").read_bytes()).hexdigest()
+        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed ({VERSIONS})"
+        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed ({VERSIONS})"
+
+    def test_reference_checkpoint_serves_byte_identical(self, reference_run, tmp_path):
+        # Training never takes the policy's mean action, so the digests above
+        # cannot see the evaluation and planning path; these pin it.
+        ck, pl = str(reference_run / "ck.json"), str(reference_run / "pools.json")
+        runs = {
+            "evaluate --deterministic": (
+                ["evaluate", "--episodes", "20", "--deterministic", "--seed", "7"],
+                "5bedcbd021516095"),
+            "evaluate": (["evaluate", "--episodes", "20", "--seed", "7"], "d1d617d2a263a5bc"),
+            "plan": (["plan", "--seed", "3"], "ad152137ceff7196"),
+        }
+        for i, (name, (argv, expected)) in enumerate(runs.items()):
+            out = tmp_path / f"{i}.csv"
+            assert cli.main(argv + ["--checkpoint", ck, "--pools", pl, "--out", str(out)]) == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert digest[:16] == expected, f"{name} output changed ({VERSIONS})"
 
     def test_rejects_nonfinite_settings(self, pools):
         for cfg in (small_cfg(env=EnvConfig(k_price=float("nan"))),
