@@ -284,10 +284,11 @@ def cmd_train(args):
         print(f"training aborted: {e} (report: {e.report})", file=sys.stderr)
         return EXIT_TRAINING_ABORT
     tr.write_train_log(records, args.log)
-    rewards = np.array([r.total_reward for r in records])
-    tail = rewards[-max(1, len(rewards) // 10):]
     print(f"episodes: {len(records)}")
-    print(f"mean total reward, last 10% of episodes: {tail.mean():.3f}")
+    if records:
+        rewards = np.array([r.total_reward for r in records])
+        tail = rewards[-max(1, len(rewards) // 10):]
+        print(f"mean total reward, last 10% of episodes: {tail.mean():.3f}")
     print(f"wrote {args.out} and {args.log}")
     return EXIT_OK
 
@@ -377,10 +378,10 @@ def _load_scenario_csv(path):
 def cmd_plan(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
     seed = _seed(args.seed)
+    _, artificial, _ = _settings(args)
     if args.scenario:
         scn = _load_scenario_csv(args.scenario)
     else:
-        _, artificial, _ = _settings(args)
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
     agent = ckpt.restore_agent()

@@ -149,31 +149,27 @@ def step(state, action, scenario, cfg):
         else:
             terminal_price = 1.0
         bonus = terminal_value(end, terminal_price, cfg)
-        return StepOutcome(
-            next_state=None,
-            reward=step_reward + bonus,
-            done=True,
-            spill=spill,
-            effective_action=a_eff,
-            terminal_bonus=bonus,
-            end_storage=end,
+        # the bonus joins the reward only here: adding a 0.0 bonus would
+        # turn a -0.0 reward into +0.0
+        step_reward += bonus
+        next_state = None
+    else:
+        bonus = 0.0
+        next_week = state.week + 1
+        next_state = _make_state(
+            next_week,
+            end,
+            float(scenario.prices[next_week - 1]),
+            float(scenario.inflows[next_week - 1]),
+            cfg,
         )
-
-    next_week = state.week + 1
-    next_state = _make_state(
-        next_week,
-        end,
-        float(scenario.prices[next_week - 1]),
-        float(scenario.inflows[next_week - 1]),
-        cfg,
-    )
     return StepOutcome(
         next_state=next_state,
         reward=step_reward,
-        done=False,
+        done=next_state is None,
         spill=spill,
         effective_action=a_eff,
-        terminal_bonus=0.0,
+        terminal_bonus=bonus,
         end_storage=end,
     )
 

@@ -382,10 +382,3 @@ class PolicyNet:
             + self.mean_head.parameters()
             + self.log_std_head.parameters()
         )
-
-    def export_params(self):
-        return {
-            "trunk": self.trunk.export_params(),
-            "mean_head": self.mean_head.export_params(),
-            "log_std_head": self.log_std_head.export_params(),
-        }

@@ -41,34 +41,24 @@ class TrainingAborted(RuntimeError):
 
 
 class ReplayBuffer:
-    """Unbounded transition store in five arrays that double when full; nothing is evicted."""
+    """Transition store in five arrays of `capacity` rows, allocated once; nothing is evicted.
 
-    def __init__(self, obs_dim=OBS_DIM, initial_capacity=1024):
-        self._obs_dim = obs_dim
+    Rows fill in push order. A push past capacity raises IndexError and
+    stores nothing.
+    """
+
+    def __init__(self, capacity):
         self._size = 0
-        self._alloc(initial_capacity)
-
-    def _alloc(self, capacity):
-        self.obs = np.empty((capacity, self._obs_dim))
+        self.obs = np.empty((capacity, OBS_DIM))
         self.actions = np.empty(capacity)
         self.rewards = np.empty(capacity)
-        self.next_obs = np.empty((capacity, self._obs_dim))
+        self.next_obs = np.empty((capacity, OBS_DIM))
         self.done = np.empty(capacity)
-
-    def _grow(self):
-        old = (self.obs, self.actions, self.rewards, self.next_obs, self.done)
-        self._alloc(2 * len(self.actions))
-        for new, prev in zip(
-            (self.obs, self.actions, self.rewards, self.next_obs, self.done), old
-        ):
-            new[: self._size] = prev[: self._size]
 
     def __len__(self):
         return self._size
 
     def push(self, obs, action, reward, next_obs, done):
-        if self._size == len(self.actions):
-            self._grow()
         i = self._size
         self.obs[i] = obs
         self.actions[i] = action

@@ -129,11 +129,10 @@ class Checkpoint:
 
     @classmethod
     def from_agent(cls, cfg, agent, rng, episode, buffer=None):
-        pol = agent.policy.export_params()
         networks = {
-            "policy_trunk": pol["trunk"],
-            "policy_mean_head": pol["mean_head"],
-            "policy_log_std_head": pol["log_std_head"],
+            "policy_trunk": agent.policy.trunk.export_params(),
+            "policy_mean_head": agent.policy.mean_head.export_params(),
+            "policy_log_std_head": agent.policy.log_std_head.export_params(),
             "q1": agent.q1.export_params(),
             "q2": agent.q2.export_params(),
             "value": agent.value.export_params(),
@@ -261,7 +260,8 @@ def train(cfg, pools, checkpoint_path=None):
     pools.validate()
     rng = np.random.default_rng(cfg.seed)
     agent = AgentBundle.init(cfg.agent, rng)
-    buffer = ReplayBuffer()
+    # every transition of the run: whole years up to total_weeks
+    buffer = ReplayBuffer(WEEKS * -(-cfg.total_weeks // WEEKS))
     records = []
     steps_done = 0
     episode = 0

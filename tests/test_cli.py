@@ -43,6 +43,14 @@ def trained_files(tmp_path_factory, pools_file):
     return ckpt, log
 
 
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "scn.csv"
+    rows = ["week,price,inflow"] + [f"{w},0.5,0.01" for w in range(1, 53)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def historic_csvs(tmp_path, n_inflows=4):
     rng = np.random.default_rng(0)
     prices = tmp_path / "prices.csv"
@@ -160,6 +168,21 @@ class TestTrain:
             ])
         assert code == 3
         assert log.exists()  # partial log retained
+
+    @pytest.mark.filterwarnings("error")  # numpy warnings would reach stderr outside pytest
+    def test_zero_weeks_runs_no_episode(self, tmp_path, pools_file, capsys):
+        ckpt = tmp_path / "ck.json"
+        assert run([
+            "train", "--pools", str(pools_file), "--total-weeks", "0", "--hidden-width", "8",
+            "--out", str(ckpt), "--log", str(tmp_path / "log.csv"),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "episodes: 0\n" in captured.out
+        assert "nan" not in captured.out
+        assert (tmp_path / "log.csv").read_text().strip() == tr.TRAIN_LOG_HEADER
+        assert run(["inspect", "--checkpoint", str(ckpt)]) == 0
+        assert "replay size: 0\n" in capsys.readouterr().out
 
     def test_config_file_merging(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -619,6 +642,11 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("train", ["--pools", "{pools}", "--r-max", "inf"], None, None, 2,
      "r_max must be finite, got inf"),
     ("train", ["--annual-inflow", "inf"], None, None, 2, "annual_inflow must be finite, got inf"),
+    ("plan", ["--config", "{missing}"], None, None, 2, "config file not found"),
+    ("plan", ["--scenario", "{scenario}", "--config", "{missing}"], None, None, 2,
+     "config file not found"),
+    ("plan", [], "{not json", None, 4, "is not valid JSON"),
+    ("plan", ["--scenario", "{scenario}"], "{not json", None, 4, "is not valid JSON"),
 ], ids=[
     "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
@@ -626,13 +654,16 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
     "train_k_price_nan", "train_q_price_inf", "train_alpha_nan", "train_lr_policy_nan",
     "file_lr_q_inf", "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
+    "plan_config_missing", "plan_scenario_config_missing", "plan_config_corrupt",
+    "plan_scenario_config_corrupt",
 ])
 def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
-                                trained_files, pools_file, capsys):
+                                trained_files, pools_file, scenario_file, capsys):
     monkeypatch.delenv("HYDROSAC_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("HYDROSAC_SEED", env)
-    argv = [arg.format(pools=pools_file) for arg in argv]
+    argv = [arg.format(pools=pools_file, scenario=scenario_file, missing=tmp_path / "none.json")
+            for arg in argv]
     ckpt, _ = trained_files
     outputs = {
         "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),
@@ -643,7 +674,7 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
     }
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [*argv, "--config", str(path)]
     assert run([command, *argv, *outputs[command]]) == code
     assert message in capsys.readouterr().err

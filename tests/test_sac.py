@@ -53,13 +53,13 @@ def snapshot(agent):
 
 class TestReplayBuffer:
     def test_push_counts(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(3)
         for _ in range(3):
             buf.push(*transition())
         assert len(buf) == 3
 
     def test_million_pushes_all_retrievable(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(1_000_000)
         t = transition()
         for _ in range(1_000_000):
             buf.push(*t)
@@ -68,7 +68,7 @@ class TestReplayBuffer:
         assert buf.rewards[999_999] == 1.0
 
     def test_round_trip_bitwise(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(1)
         obs = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         next_obs = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
         buf.push(obs, 0.123456789012345678, -7.25, next_obs, True)
@@ -80,13 +80,13 @@ class TestReplayBuffer:
         assert back["done"][0] == 1.0
 
     def test_underfull_sampling_rejected(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(100)
         buf.push(*transition())
         with pytest.raises(ValueError, match="holds 1 transitions, need 100"):
             buf.sample_arrays(100, np.random.default_rng(0))
 
     def test_sampling_uniform(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(2)
         buf.push(*transition(reward=0.0))
         buf.push(*transition(reward=1.0))
         rng = np.random.default_rng(3)
@@ -94,13 +94,35 @@ class TestReplayBuffer:
         assert abs(np.mean(picks) - 0.5) < 0.01
 
     def test_sampling_deterministic(self):
-        buf = ReplayBuffer()
+        buf = ReplayBuffer(50)
         for k in range(50):
             buf.push(*transition(reward=float(k)))
         b1 = buf.sample_arrays(10, np.random.default_rng(5))
         b2 = buf.sample_arrays(10, np.random.default_rng(5))
         for a, b in zip(b1, b2):
             assert np.array_equal(a, b)
+
+    def test_push_past_capacity_raises_and_stores_nothing(self):
+        buf = ReplayBuffer(2)
+        buf.push(*transition(reward=1.0))
+        buf.push(*transition(reward=2.0, done=True))
+        before = buf.export_arrays()
+        with pytest.raises(IndexError):
+            buf.push(*transition(reward=3.0))
+        assert len(buf) == 2
+        after = buf.export_arrays()
+        for name, rows in before.items():
+            assert np.array_equal(after[name], rows), name
+
+    def test_sampling_reads_only_pushed_rows(self):
+        # rows past len(buf) are uninitialised; a draw must never reach them
+        buf = ReplayBuffer(1000)
+        buf.rewards[:] = np.nan
+        for _ in range(5):
+            buf.push(*transition(reward=4.0))
+        rng = np.random.default_rng(1)
+        rewards = np.concatenate([buf.sample_arrays(5, rng)[2] for _ in range(200)])
+        assert np.all(rewards == 4.0)
 
 
 class TestComputeQTargets:

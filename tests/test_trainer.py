@@ -159,6 +159,23 @@ class TestTrain:
                 train(cfg, pools)
         assert exc_info.value.records is not None
 
+    @pytest.mark.parametrize("total_weeks, rows", [(0, 0), (52, 52), (53, 104), (100, 104)])
+    def test_replay_allocated_once_and_filled(self, total_weeks, rows, pools, monkeypatch):
+        buffers = []
+
+        class Recorded(tr.ReplayBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                buffers.append(self)
+
+        monkeypatch.setattr(tr, "ReplayBuffer", Recorded)
+        cfg = small_cfg(total_weeks=total_weeks, exploration_weeks=min(52, total_weeks))
+        ckpt, records = train(cfg, pools)
+        [buf] = buffers
+        assert ckpt.replay_size == len(buf) == rows == 52 * len(records)
+        for name in ("obs", "actions", "rewards", "next_obs", "done"):
+            assert len(getattr(buf, name)) == rows, name
+
     def test_rejects_bad_config(self, pools):
         with pytest.raises(ValueError):
             train(small_cfg(exploration_weeks=500, total_weeks=104), pools)
