@@ -393,13 +393,10 @@ def cmd_plan(args):
         np.random.default_rng(seed),
     )
     lines = [PLAN_HEADER]
-    for row in trace:
-        week, price, inflow, action, storage, reward, _, spill = row
+    for week, price, inflow, action, storage, reward, _, spill in trace.tolist():
         release = action * env_cfg.f_max * env_cfg.r_max
-        lines.append(
-            f"{int(week)},{float(price)!r},{float(inflow)!r},{float(action)!r},"
-            f"{float(release)!r},{float(storage)!r},{float(spill)!r},{float(reward)!r}"
-        )
+        values = (price, inflow, action, release, storage, spill, reward)
+        lines.append(f"{int(week)},{','.join(map(repr, values))}")
     sc._write_atomic(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
     print(f"total reward: {total:.3f}")
     print(f"wrote {args.out}")

@@ -370,24 +370,41 @@ def constant_policy(level):
 # persistence
 # ---------------------------------------------------------------------------
 
-def _encode_floats(a):
-    return [repr(float(x)) for x in np.asarray(a, dtype=float).ravel(order="C")]
+def _float_list_json(a):
+    """The JSON list of repr(float(x)) strings of `a`'s elements in C order.
+
+    Each distinct 64-bit pattern is formatted once, so -0.0 stays apart
+    from 0.0, and the list goes through json's C encoder in one call.
+    """
+    bits = np.ascontiguousarray(a, dtype=float).ravel().view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return json.dumps(texts[inverse].tolist())
 
 
-def _encode_layer(weight, bias, activation):
-    rows, cols = weight.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "weights": _encode_floats(weight),
-        "bias": _encode_floats(bias),
-        "activation": activation,
-    }
+def _write_json(obj, fh):
+    """Write `obj` as json.dump(obj, fh) would if every numpy array in it were
+    the list of its elements as repr(float(x)) strings; one array at a time."""
+    if isinstance(obj, np.ndarray):
+        fh.write(_float_list_json(obj))
+    elif isinstance(obj, dict):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(value, fh)
+        fh.write("}")
+    elif isinstance(obj, list):
+        fh.write("[")
+        for i, value in enumerate(obj):
+            fh.write(", " if i else "")
+            _write_json(value, fh)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj))
 
 
 def _decode_floats(values, shape):
-    a = np.array([float(v) for v in values], dtype=float)
-    return a.reshape(shape)
+    return np.fromiter(map(float, values), dtype=float, count=len(values)).reshape(shape)
 
 
 def _decode_layer(doc):
@@ -400,35 +417,31 @@ def _decode_layer(doc):
     return weight, bias, str(doc["activation"])
 
 
-def _encode_array(a):
-    a = np.asarray(a, dtype=float)
-    return {"shape": list(a.shape), "values": _encode_floats(a)}
-
-
 def _decode_array(doc):
     return _decode_floats(doc["values"], tuple(doc["shape"]))
 
 
 def save_checkpoint(ckpt, path):
+    def array(a):
+        a = np.asarray(a, dtype=float)
+        return {"shape": list(a.shape), "values": a}
+
     doc = {
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
-            name: [_encode_layer(w, b, act) for w, b, act in layers]
+            name: [{"rows": w.shape[0], "cols": w.shape[1], "weights": w, "bias": b,
+                    "activation": act} for w, b, act in layers]
             for name, layers in ckpt.networks.items()
         },
-        "optimizer_states": {
-            name: [_encode_array(a) for a in accs]
-            for name, accs in ckpt.optimizer_states.items()
-        },
+        "optimizer_states": {name: list(map(array, accs))
+                             for name, accs in ckpt.optimizer_states.items()},
         "rng_state": ckpt.rng_state,
         "episode": ckpt.episode,
         "replay_size": ckpt.replay_size,
-        "replay": None
-        if ckpt.replay is None
-        else {k: _encode_array(v) for k, v in ckpt.replay.items()},
+        "replay": None if ckpt.replay is None else {k: array(v) for k, v in ckpt.replay.items()},
     }
-    _write_atomic(path, lambda fh: json.dump(doc, fh))
+    _write_atomic(path, lambda fh: _write_json(doc, fh))
 
 
 def load_checkpoint(path):
@@ -478,26 +491,15 @@ def load_checkpoint(path):
 def write_train_log(records, path):
     lines = [TRAIN_LOG_HEADER]
     for r in records:
-        vals = ",".join(
-            repr(float(v))
-            for v in (
-                r.total_reward,
-                r.terminal_bonus,
-                r.end_storage,
-                r.total_spill,
-                r.mean_action,
-                r.seconds,
-            )
-        )
-        lines.append(f"{r.episode},{vals}")
+        vals = (r.total_reward, r.terminal_bonus, r.end_storage, r.total_spill, r.mean_action,
+                r.seconds)
+        lines.append(f"{r.episode},{','.join(repr(float(v)) for v in vals)}")
     _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def write_eval_csv(report, path):
     lines = [EVAL_HEADER]
     for ep in report.episodes:
-        for row in ep.trace:
-            week = int(row[0])
-            vals = ",".join(repr(float(v)) for v in row[1:7])
-            lines.append(f"{ep.index},{week},{vals}")
+        for row in ep.trace.tolist():
+            lines.append(f"{ep.index},{int(row[0])},{','.join(map(repr, row[1:7]))}")
     _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))

@@ -439,6 +439,59 @@ def test_checkpoint_networks_must_fit_exit_4(
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def replay_ckpt_file(tmp_path_factory, pools_file):
+    d = tmp_path_factory.mktemp("replay")
+    ckpt = d / "ckpt.json"
+    assert run([
+        "train", "--pools", str(pools_file), "--total-weeks", "104",
+        "--exploration-weeks", "104", "--hidden-width", "8", "--seed", "1", "--include-replay",
+        "--out", str(ckpt), "--log", str(d / "log.csv"),
+    ]) == 0
+    return ckpt
+
+
+def null_layer_weight(doc):
+    doc["networks"]["policy_trunk"][0]["weights"][2] = None
+
+
+def nested_layer_weight(doc):
+    weights = doc["networks"]["value"][1]["weights"]
+    weights[0] = [weights[0]]
+
+
+def null_replay_value(doc):
+    doc["replay"]["rewards"]["values"][5] = None
+
+
+def nested_replay_value(doc):
+    values = doc["replay"]["obs"]["values"]
+    values[7] = [values[7]]
+
+
+@pytest.mark.parametrize("tamper", [
+    null_layer_weight, nested_layer_weight, null_replay_value, nested_replay_value,
+])
+def test_checkpoint_values_must_be_decimal_strings_exit_4(
+    tamper, tmp_path, replay_ckpt_file, pools_file, capsys
+):
+    doc = json.loads(replay_ckpt_file.read_text())
+    tamper(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["inspect", "--checkpoint", str(bad)]) == 4
+    assert run([
+        "plan", "--checkpoint", str(bad), "--pools", str(pools_file),
+        "--seed", "6", "--out", str(tmp_path / "plan.csv"),
+    ]) == 4
+    assert run([
+        "evaluate", "--checkpoint", str(bad), "--pools", str(pools_file),
+        "--episodes", "1", "--out", str(tmp_path / "e.csv"),
+    ]) == 4
+    assert capsys.readouterr().err.count("float() argument must be a string or a real number") == 3
+    assert not (tmp_path / "plan.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
 @pytest.mark.parametrize("pool, week, replace, message", [
     # json writes NaN, which json reads back
     ("price_pool", 20, lambda old: [float("nan")] + old[1:],

@@ -1,10 +1,15 @@
+import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrosac import cli
+from hydrosac import scenario as sc
 from hydrosac import trainer as tr
 from hydrosac.env import EnvConfig
 from hydrosac.sac import SacConfig, TrainingAborted
@@ -128,22 +133,35 @@ class TestTrain:
     def test_failed_periodic_save_keeps_previous_checkpoint(self, pools, tmp_path, monkeypatch):
         path = tmp_path / "ck.json"
         cfg = small_cfg(total_weeks=156, exploration_weeks=156, checkpoint_every_episodes=1)
-        real_dump = json.dump
-        on_disk = []  # the checkpoint file's bytes as each save starts
+        on_disk = []  # the checkpoint file's bytes as each save opens its temporary file
 
-        def dump_then_fail_on_second_save(doc, fh):
-            on_disk.append(path.read_bytes() if path.exists() else None)
-            if len(on_disk) == 1:
-                return real_dump(doc, fh)
-            fh.write(json.dumps(doc)[:1000])  # a partial document, then the failure
-            raise OSError("disk full")
+        def fail_after(write, room):
+            """`write` until `room` characters are written, then the rest of the room and a failure."""
+            def partial_write(text):
+                nonlocal room
+                if len(text) > room:
+                    write(text[:room])  # a partial document, then the failure
+                    raise OSError("disk full")
+                room -= len(text)
+                return write(text)
+            return partial_write
 
-        monkeypatch.setattr(json, "dump", dump_then_fail_on_second_save)
+        def open_failing_second_save(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                on_disk.append(path.read_bytes() if path.exists() else None)
+                if len(on_disk) == 2:
+                    fh.write = fail_after(fh.write, 1000)
+            return fh
+
+        # every output file is written by the one shared writer in hydrosac.scenario
+        monkeypatch.setattr(sc, "open", open_failing_second_save, raising=False)
         with pytest.raises(OSError, match="disk full"):
             train(cfg, pools, checkpoint_path=path)
         monkeypatch.undo()
+        assert len(on_disk) == 2
         first = on_disk[1]
-        assert first is not None and path.read_bytes() == first
+        assert first is not None and len(first) > 1000 and path.read_bytes() == first
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
         loaded = load_checkpoint(path)
         assert loaded.episode == 1
@@ -327,12 +345,125 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.replay["obs"], ckpt.replay["obs"])
+        assert loaded.replay_size == ckpt.replay_size
+        assert list(loaded.replay) == ["obs", "actions", "rewards", "next_obs", "done"]
+        for name, saved in ckpt.replay.items():
+            assert loaded.replay[name].shape == saved.shape, name
+            assert np.array_equal(loaded.replay[name].view(np.int64), saved.view(np.int64)), name
 
     def test_replay_excluded_by_default(self, trained):
         _, ckpt, _ = trained
         assert ckpt.replay is None
         assert ckpt.replay_size == 208
+
+
+def reference_checkpoint_text(ckpt):
+    """The checkpoint as the one-shot encoder wrote it: the whole document, with
+    every float as the string repr(float(x)), through one json.dump."""
+    def floats(a):
+        return [repr(float(x)) for x in np.asarray(a, dtype=float).ravel(order="C")]
+
+    def array(a):
+        a = np.asarray(a, dtype=float)
+        return {"shape": list(a.shape), "values": floats(a)}
+
+    doc = {
+        "version": ckpt.version,
+        "config": dataclasses.asdict(ckpt.config),
+        "networks": {
+            name: [{"rows": w.shape[0], "cols": w.shape[1], "weights": floats(w),
+                    "bias": floats(b), "activation": act} for w, b, act in layers]
+            for name, layers in ckpt.networks.items()
+        },
+        "optimizer_states": {
+            name: [array(a) for a in accs] for name, accs in ckpt.optimizer_states.items()
+        },
+        "rng_state": ckpt.rng_state,
+        "episode": ckpt.episode,
+        "replay_size": ckpt.replay_size,
+        "replay": None if ckpt.replay is None else {k: array(v) for k, v in ckpt.replay.items()},
+    }
+    fh = io.StringIO()
+    json.dump(doc, fh)
+    return fh.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-05, 0.0001]
+NAN_BITS = [0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001]  # +nan, -nan, a payload
+NONFINITE = [float("inf"), float("-inf")] + list(np.array(NAN_BITS, dtype=np.int64).view(float))
+
+
+def with_replay(ckpt, **arrays):
+    """ckpt with a replay of 8 transitions: every array zero but the ones given."""
+    replay = {"obs": np.zeros((8, 5)), "actions": np.zeros(8), "rewards": np.zeros(8),
+              "next_obs": np.zeros((8, 5)), "done": np.zeros(8)}
+    replay.update({name: np.asarray(a, dtype=float) for name, a in arrays.items()})
+    return dataclasses.replace(ckpt, replay=replay, replay_size=8)
+
+
+def edge_floats_everywhere(ckpt):
+    (w, b, act), *rest = ckpt.networks["q1"]
+    w = w.copy()
+    w.flat[:8] = EDGE_FLOATS  # -0.0 and 0.0 in one array
+    networks = {**ckpt.networks, "q1": [(w, b, act), *rest]}
+    ckpt = dataclasses.replace(ckpt, networks=networks)
+    return with_replay(ckpt, obs=np.resize(EDGE_FLOATS, (8, 5)), actions=EDGE_FLOATS,
+                       next_obs=-np.resize(EDGE_FLOATS, (8, 5))[::-1])
+
+
+def nonfinite_replay(ckpt):
+    return with_replay(ckpt, obs=np.resize(NONFINITE, (8, 5)), rewards=np.resize(NONFINITE, 8),
+                       done=[np.nan] * 8)
+
+
+def all_equal_replay(ckpt):
+    return with_replay(ckpt, obs=np.full((8, 5), 0.1), next_obs=np.full((8, 5), -0.0),
+                       done=np.ones(8))
+
+
+class TestCheckpointBytes:
+    """save_checkpoint writes the bytes of the one-shot encoder, reference_checkpoint_text."""
+
+    @pytest.mark.parametrize("variant", [
+        lambda ckpt: ckpt, edge_floats_everywhere, nonfinite_replay, all_equal_replay,
+    ], ids=["no_replay", "edge_floats", "nonfinite", "all_equal"])
+    def test_same_bytes_as_one_shot_encoder(self, variant, trained, tmp_path):
+        _, ckpt, _ = trained
+        ckpt = variant(ckpt)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        assert path.read_text(encoding="utf-8") == reference_checkpoint_text(ckpt)
+
+    def test_empty_replay_same_bytes(self, pools, tmp_path):
+        ckpt, _ = train(small_cfg(total_weeks=0, exploration_weeks=0,
+                                  include_replay_in_checkpoint=True), pools)
+        assert ckpt.replay["obs"].shape == (0, 5) and ckpt.replay["done"].shape == (0,)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_checkpoint_text(ckpt)
+        assert '"obs": {"shape": [0, 5], "values": []}' in text
+
+    def test_edge_floats_round_trip_bit_for_bit(self, trained, tmp_path):
+        _, ckpt, _ = trained
+        ckpt = edge_floats_everywhere(ckpt)
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        for name, saved in ckpt.replay.items():
+            assert np.array_equal(loaded.replay[name].view(np.int64), saved.view(np.int64)), name
+        assert np.array_equal(loaded.networks["q1"][0][0].view(np.int64),
+                              ckpt.networks["q1"][0][0].view(np.int64))
+
+    @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                              st.sampled_from(list(np.array(EDGE_FLOATS).view(np.int64)) + NAN_BITS)),
+                    max_size=40),
+           st.sampled_from([1, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_array_encoder_on_any_bit_patterns(self, bits, rows):
+        a = np.array(bits * rows, dtype=np.int64).view(float).reshape(rows, -1)
+        expected = json.dumps([repr(float(x)) for x in a.ravel(order="C")])
+        assert tr._float_list_json(a) == expected
 
 
 class TestEvaluate:
