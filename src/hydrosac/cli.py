@@ -46,7 +46,7 @@ def _load_config_file(path):
             doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CliError(f"config file {path} is not valid JSON ({e})", code=EXIT_CORRUPT)
     if not isinstance(doc, dict):
         raise CliError(f"config file {path} must hold a JSON object", code=EXIT_CORRUPT)
@@ -361,6 +361,8 @@ def _load_scenario_csv(path):
                     )
     except FileNotFoundError:
         raise CliError(f"scenario file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text ({e})", code=EXIT_CORRUPT)
     rows.sort()
     if [r[0] for r in rows] != list(range(1, sc.WEEKS + 1)):
         raise CliError(

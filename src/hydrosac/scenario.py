@@ -116,27 +116,30 @@ def load_csv_series(path, kind):
     if kind not in KINDS:
         raise DataError(f"unknown series kind {kind!r}")
     points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["year", "week", "value"]:
-            raise DataError(f"{path}: expected header 'year,week,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: malformed row at line {lineno}")
-            try:
-                year = int(row[0])
-                week = int(row[1])
-                value = float(row[2])
-            except ValueError:
-                raise DataError(f"{path}: malformed row at line {lineno}") from None
-            if not 1 <= week <= WEEKS:
-                raise DataError(f"{path}: week out of range at line {lineno}")
-            if not np.isfinite(value) or value < 0:
-                raise DataError(f"{path}: negative or non-finite value at line {lineno}")
-            points.append((year, week, value))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header] != ["year", "week", "value"]:
+                raise DataError(f"{path}: expected header 'year,week,value'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 3:
+                    raise DataError(f"{path}: malformed row at line {lineno}")
+                try:
+                    year = int(row[0])
+                    week = int(row[1])
+                    value = float(row[2])
+                except ValueError:
+                    raise DataError(f"{path}: malformed row at line {lineno}") from None
+                if not 1 <= week <= WEEKS:
+                    raise DataError(f"{path}: week out of range at line {lineno}")
+                if not np.isfinite(value) or value < 0:
+                    raise DataError(f"{path}: negative or non-finite value at line {lineno}")
+                points.append((year, week, value))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
     if not points:
         raise DataError(f"{path}: no rows")
     return RawSeries(kind=kind, points=points, label=str(path))
@@ -308,7 +311,7 @@ def load_pools(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"{path}: not valid JSON ({e})") from None
     try:
         pools = ScenarioPools(

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .env import EnvConfig, observe, reset, step
-from .neural import Mlp, PolicyNet, layer_from_weight
-from .sac import OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
+from .neural import Mlp, layer_from_weight
+from .sac import NETWORKS, OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
 from .scenario import WEEKS, _write_atomic, sample_scenario
 
 CHECKPOINT_VERSION = 1
@@ -129,21 +129,8 @@ class Checkpoint:
 
     @classmethod
     def from_agent(cls, cfg, agent, rng, episode, buffer=None):
-        networks = {
-            "policy_trunk": agent.policy.trunk.export_params(),
-            "policy_mean_head": agent.policy.mean_head.export_params(),
-            "policy_log_std_head": agent.policy.log_std_head.export_params(),
-            "q1": agent.q1.export_params(),
-            "q2": agent.q2.export_params(),
-            "value": agent.value.export_params(),
-            "value_target": agent.value_target.export_params(),
-        }
-        optimizer_states = {
-            "policy": agent.opt_policy.export(),
-            "q1": agent.opt_q1.export(),
-            "q2": agent.opt_q2.export(),
-            "value": agent.opt_value.export(),
-        }
+        networks = {name: net.export_params() for name, net in agent.networks().items()}
+        optimizer_states = {name: opt.export() for name, opt in agent.optimizers().items()}
         replay = None
         if buffer is not None and cfg.include_replay_in_checkpoint:
             replay = buffer.export_arrays()
@@ -159,68 +146,26 @@ class Checkpoint:
         )
 
     def restore_agent(self):
-        """Rebuild a live AgentBundle from the stored parameters."""
-        cfg = self.config.agent
+        """Rebuild a live AgentBundle from the entries the agent names; others are ignored."""
         try:
-            policy = PolicyNet(
-                _mlp_from_params(self.networks["policy_trunk"]),
-                _mlp_from_params(self.networks["policy_mean_head"]),
-                _mlp_from_params(self.networks["policy_log_std_head"]),
-                log_std_min=cfg.log_std_min,
-                log_std_max=cfg.log_std_max,
-                prob_floor=cfg.squash_prob_floor,
-            )
-            agent = AgentBundle(
-                cfg,
-                policy,
-                _mlp_from_params(self.networks["q1"]),
-                _mlp_from_params(self.networks["q2"]),
-                _mlp_from_params(self.networks["value"]),
-                _mlp_from_params(self.networks["value_target"]),
-            )
-            _check_widths(agent)
-            agent.opt_policy.load(self.optimizer_states["policy"])
-            agent.opt_q1.load(self.optimizer_states["q1"])
-            agent.opt_q2.load(self.optimizer_states["q2"])
-            agent.opt_value.load(self.optimizer_states["value"])
+            agent = AgentBundle.from_networks(self.config.agent, {
+                name: Mlp([layer_from_weight(w, b, act) for w, b, act in self.networks[name]])
+                for name in NETWORKS
+            })
+            for name, opt in agent.optimizers().items():
+                opt.load(self.optimizer_states[name])
             _check_finite(agent)
         except (KeyError, ValueError) as e:
             raise CheckpointError(f"checkpoint does not describe a valid agent: {e}") from None
         return agent
 
 
-def _mlp_from_params(params):
-    return Mlp([layer_from_weight(w, b, act) for w, b, act in params])
-
-
-def _check_widths(agent):
-    """Raise ValueError unless the networks chain from the observation to one output."""
-    policy = agent.policy
-    if policy.trunk.widths[0] != OBS_DIM:
-        raise ValueError(f"network policy_trunk has widths {policy.trunk.widths}; "
-                         f"expected {OBS_DIM} inputs")
-    hidden = policy.trunk.widths[-1]
-    nets = {
-        "policy_mean_head": (policy.mean_head, hidden),
-        "policy_log_std_head": (policy.log_std_head, hidden),
-        "q1": (agent.q1, OBS_DIM + 1),
-        "q2": (agent.q2, OBS_DIM + 1),
-        "value": (agent.value, OBS_DIM),
-        "value_target": (agent.value_target, OBS_DIM),
-    }
-    for name, (net, n_in) in nets.items():
-        if net.widths[0] != n_in or net.widths[-1] != 1:
-            raise ValueError(f"network {name} has widths {net.widths}; "
-                             f"expected {n_in} inputs and 1 output")
-    if agent.value.widths != agent.value_target.widths:
-        raise ValueError("networks value and value_target differ in widths")
-
-
 def _check_finite(agent):
     """Raise ValueError if a network parameter or an optimizer accumulator is NaN or infinite."""
-    nets = ("policy", "q1", "q2", "value", "value_target")
-    vectors = {f"network {n}": getattr(agent, n).params for n in nets}
-    vectors.update({f"optimizer {n}": getattr(agent, f"opt_{n}").acc for n in nets[:4]})
+    # each optimizer is named after the network it trains; the value target, last, has none
+    opts = agent.optimizers()
+    vectors = {f"network {n}": getattr(agent, n).params for n in (*opts, list(NETWORKS)[-1])}
+    vectors.update({f"optimizer {n}": opt.acc for n, opt in opts.items()})
     for name, vector in vectors.items():
         if not np.all(np.isfinite(vector)):
             raise ValueError(f"{name} holds a non-finite value")
@@ -448,7 +393,7 @@ def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CheckpointError(f"{path}: not valid JSON ({e})") from None
     try:
         version = int(doc["version"])

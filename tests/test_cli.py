@@ -409,6 +409,14 @@ def minus_inf_accumulator(doc):
     doc["optimizer_states"]["q1"][2]["values"][0] = "-inf"
 
 
+def no_value_target_network(doc):
+    del doc["networks"]["value_target"]
+
+
+def no_value_optimizer(doc):
+    del doc["optimizer_states"]["value"]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
@@ -418,6 +426,8 @@ def minus_inf_accumulator(doc):
     (echo_alpha_nan, "alpha must be finite, got nan"),
     (nan_policy_weight, "network policy holds a non-finite value"),
     (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
+    (no_value_target_network, "'value_target'"),
+    (no_value_optimizer, "'value'"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -437,6 +447,28 @@ def test_checkpoint_networks_must_fit_exit_4(
         "--episodes", "1", "--out", str(tmp_path / "e.csv"),
     ]) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["inspect", "--checkpoint", "{bad}"],
+    ["plan", "--checkpoint", "{bad}", "--out", "{out}"],
+    ["evaluate", "--checkpoint", "{ckpt}", "--pools", "{bad}", "--episodes", "1", "--out", "{out}"],
+    ["plan", "--checkpoint", "{ckpt}", "--scenario", "{bad}", "--out", "{out}"],
+    ["train", "--config", "{bad}", "--total-weeks", "0", "--out", "{out}", "--log", "{out}"],
+    ["gen-scenarios", "--mode", "historic", "--prices", "{bad}", "--inflows", "{inflows}",
+     "--out", "{out}"],
+], ids=["inspect-checkpoint", "plan-checkpoint", "evaluate-pools", "plan-scenario", "train-config",
+        "gen-scenarios-prices"])
+def test_non_utf8_input_exit_4(argv, tmp_path, trained_files, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("week,caf\xe9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    _, inflows = historic_csvs(tmp_path, n_inflows=1)
+    names = {"bad": bad, "out": out, "ckpt": trained_files[0], "inflows": inflows[0]}
+    assert run([a.format(**names) for a in argv]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
 
 
 @pytest.fixture(scope="module")
