@@ -6,12 +6,11 @@ flag sets one config field; values merge with precedence CLI flag >
 dataclasses (an int is fine for a float field). The environment variable
 HYDROSAC_SEED supplies the seed when nothing else does. Exit codes: 0
 success, 2 usage or input error (bad settings included), 3 training aborted
-on a non-finite loss, 4 corrupt artifact (a checkpoint whose config echo
-does not decode or validate included).
+on a non-finite loss, 4 an input file that does not decode or validate
+(any DataError; a CheckpointError is one).
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -24,7 +23,7 @@ from . import trainer as tr
 from .env import LAST_WEEK_PRICE, MAX_PRICE
 from .sac import TrainingAborted
 from .scenario import ArtificialConfig, DataError
-from .trainer import CheckpointError, TrainConfig
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,14 +41,11 @@ class CliError(Exception):
 
 def _load_config_file(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = sc.read_json(path)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CliError(f"config file {path} is not valid JSON ({e})", code=EXIT_CORRUPT)
     if not isinstance(doc, dict):
-        raise CliError(f"config file {path} must hold a JSON object", code=EXIT_CORRUPT)
+        raise DataError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(doc) - {"train", "env", "artificial"})
     if unknown:
         raise CliError(f"unknown sections {unknown} in config file {path}")
@@ -124,8 +120,6 @@ def _get_pools(args, artificial_cfg, seed):
             return sc.load_pools(args.pools)
         except FileNotFoundError:
             raise CliError(f"pools file not found: {args.pools}")
-        except DataError as e:
-            raise CliError(str(e), code=EXIT_CORRUPT)
     return _artificial_pools(artificial_cfg, seed)
 
 
@@ -298,8 +292,6 @@ def _load_checkpoint_or_die(path):
         return tr.load_checkpoint(path)
     except FileNotFoundError:
         raise CliError(f"checkpoint not found: {path}")
-    except CheckpointError as e:
-        raise CliError(str(e), code=EXIT_CORRUPT)
 
 
 def _warn_env_mismatch(args, ckpt):
@@ -336,53 +328,15 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _load_scenario_csv(path):
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header] != [
-                "week",
-                "price",
-                "inflow",
-            ]:
-                raise CliError(
-                    f"{path}: expected header 'week,price,inflow'", code=EXIT_CORRUPT
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append((int(row[0]), float(row[1]), float(row[2])))
-                except (ValueError, IndexError):
-                    raise CliError(
-                        f"{path}: malformed row at line {lineno}", code=EXIT_CORRUPT
-                    )
-    except FileNotFoundError:
-        raise CliError(f"scenario file not found: {path}")
-    except UnicodeDecodeError as e:
-        raise CliError(f"{path}: not UTF-8 text ({e})", code=EXIT_CORRUPT)
-    rows.sort()
-    if [r[0] for r in rows] != list(range(1, sc.WEEKS + 1)):
-        raise CliError(
-            f"{path}: scenario must contain weeks 1..{sc.WEEKS} exactly once each",
-            code=EXIT_CORRUPT,
-        )
-    prices = np.array([r[1] for r in rows])
-    inflows = np.array([r[2] for r in rows])
-    # written so that NaN, which fails every comparison, is out of range too
-    if not (np.all((prices >= 0) & (prices <= 1)) and np.all((inflows >= 0) & (inflows <= 1))):
-        raise CliError(f"{path}: values must lie in [0, 1]", code=EXIT_CORRUPT)
-    return sc.Scenario(prices=prices, inflows=inflows)
-
-
 def cmd_plan(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
     seed = _seed(args.seed)
     _, artificial, _ = _settings(args)
     if args.scenario:
-        scn = _load_scenario_csv(args.scenario)
+        try:
+            scn = sc.load_scenario_csv(args.scenario)
+        except FileNotFoundError:
+            raise CliError(f"scenario file not found: {args.scenario}")
     else:
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))

@@ -111,38 +111,49 @@ def load_csv_series(path, kind):
     """Read a `year,week,value` CSV into a RawSeries.
 
     Rejects the whole file on the first malformed row, reporting its line
-    number (line 1 is the header).
+    number (line 1 is the header). Blank and whitespace-only lines are skipped.
     """
     if kind not in KINDS:
         raise DataError(f"unknown series kind {kind!r}")
     points = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header] != ["year", "week", "value"]:
-                raise DataError(f"{path}: expected header 'year,week,value'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    raise DataError(f"{path}: malformed row at line {lineno}")
-                try:
-                    year = int(row[0])
-                    week = int(row[1])
-                    value = float(row[2])
-                except ValueError:
-                    raise DataError(f"{path}: malformed row at line {lineno}") from None
-                if not 1 <= week <= WEEKS:
-                    raise DataError(f"{path}: week out of range at line {lineno}")
-                if not np.isfinite(value) or value < 0:
-                    raise DataError(f"{path}: negative or non-finite value at line {lineno}")
-                points.append((year, week, value))
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e})") from None
+    for lineno, row in read_csv(path, "year,week,value"):
+        if len(row) == 1 and not row[0].strip():
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}: malformed row at line {lineno}")
+        try:
+            year = int(row[0])
+            week = int(row[1])
+            value = float(row[2])
+        except ValueError:
+            raise DataError(f"{path}: malformed row at line {lineno}") from None
+        if not 1 <= week <= WEEKS:
+            raise DataError(f"{path}: week out of range at line {lineno}")
+        if not np.isfinite(value) or value < 0:
+            raise DataError(f"{path}: negative or non-finite value at line {lineno}")
+        points.append((year, week, value))
     if not points:
         raise DataError(f"{path}: no rows")
     return RawSeries(kind=kind, points=points, label=str(path))
+
+
+def load_scenario_csv(path):
+    """Read a `week,price,inflow` CSV holding each of the 52 weeks once into a Scenario."""
+    rows = []
+    for lineno, row in read_csv(path, "week,price,inflow"):
+        try:
+            rows.append((int(row[0]), float(row[1]), float(row[2])))
+        except (ValueError, IndexError):
+            raise DataError(f"{path}: malformed row at line {lineno}") from None
+    rows.sort()
+    if [r[0] for r in rows] != list(range(1, WEEKS + 1)):
+        raise DataError(f"{path}: scenario must contain weeks 1..{WEEKS} exactly once each")
+    prices = np.array([r[1] for r in rows])
+    inflows = np.array([r[2] for r in rows])
+    # written so that NaN, which fails every comparison, is out of range too
+    if not (np.all((prices >= 0) & (prices <= 1)) and np.all((inflows >= 0) & (inflows <= 1))):
+        raise DataError(f"{path}: values must lie in [0, 1]")
+    return Scenario(prices=prices, inflows=inflows)
 
 
 def build_pools(price_series, inflow_series, r_max):
@@ -277,13 +288,54 @@ def sample_scenario(pools, rng):
     return Scenario(prices=values[0::2], inflows=values[1::2])
 
 
+def read_json(path, error=DataError):
+    """Decode the JSON file at `path`; every JSON input is read here.
+
+    Bad syntax, non-UTF-8 bytes, an integer over Python's 4300-digit limit
+    (all ValueError) and nesting too deep to decode (RecursionError) raise
+    `error` naming `path`; a missing or unreadable file raises OSError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise error(f"{path} is not valid JSON ({e})") from None
+
+
+def read_csv(path, header):
+    """Yield (line number, fields) per non-empty row of the CSV file at `path`.
+
+    Every CSV input is read here. Line 1 must be `header`, such as
+    "year,week,value" (case and spaces around a name aside). Non-UTF-8
+    text and what the csv module rejects (a field over 131,072 characters)
+    raise DataError naming `path`; a missing or unreadable file raises OSError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        try:
+            first = next(rows, None)
+            if first is None or [c.strip().lower() for c in first] != header.split(","):
+                raise DataError(f"{path}: expected header '{header}'")
+            for lineno, row in enumerate(rows, start=2):
+                if row:
+                    yield lineno, row
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: not a readable UTF-8 CSV file ({e})") from None
+
+
 def _write_atomic(path, write):
     """Run write(fh) on a temporary file beside `path`, then move it onto `path`.
 
     Every output file (pools, checkpoints, logs and CSVs) is written this
     way: a crash or an exception part way through leaves an existing file
-    at `path` untouched, and the temporary file is removed.
+    at `path` untouched, and the temporary file is removed. An existing
+    `path` that is not a regular file (a device or a FIFO) is written in
+    place instead, since a rename would replace it.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -308,11 +360,7 @@ def save_pools(pools, path):
 
 
 def load_pools(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DataError(f"{path}: not valid JSON ({e})") from None
+    doc = read_json(path)
     try:
         pools = ScenarioPools(
             price_pool=[np.asarray(p, dtype=float) for p in doc["price_pool"]],

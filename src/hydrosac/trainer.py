@@ -22,7 +22,7 @@ import numpy as np
 from .env import EnvConfig, observe, reset, step
 from .neural import Mlp, layer_from_weight
 from .sac import NETWORKS, OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
-from .scenario import WEEKS, _write_atomic, sample_scenario
+from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario
 
 CHECKPOINT_VERSION = 1
 
@@ -30,7 +30,7 @@ TRAIN_LOG_HEADER = "episode,total_reward,terminal_bonus,end_storage,total_spill,
 EVAL_HEADER = "episode,week,price,inflow,action,storage,reward,accumulated_reward"
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Raised for unreadable, corrupt, or incompatible checkpoint files."""
 
 
@@ -390,11 +390,7 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise CheckpointError(f"{path}: not valid JSON ({e})") from None
+    doc = read_json(path, CheckpointError)
     try:
         version = int(doc["version"])
         if version != CHECKPOINT_VERSION:
@@ -426,7 +422,7 @@ def load_checkpoint(path):
         )
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:  # e.g. a section not an object
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from None
     # Fail fast on inconsistent shapes.
     ckpt.restore_agent()

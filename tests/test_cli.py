@@ -417,6 +417,18 @@ def no_value_optimizer(doc):
     del doc["optimizer_states"]["value"]
 
 
+def networks_list(doc):
+    doc["networks"] = list(doc["networks"].values())
+
+
+def optimizer_states_list(doc):
+    doc["optimizer_states"] = list(doc["optimizer_states"].values())
+
+
+def replay_list(doc):
+    doc["replay"] = []
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
@@ -428,6 +440,9 @@ def no_value_optimizer(doc):
     (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
     (no_value_target_network, "'value_target'"),
     (no_value_optimizer, "'value'"),
+    (networks_list, "malformed checkpoint"),
+    (optimizer_states_list, "malformed checkpoint"),
+    (replay_list, "malformed checkpoint"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -449,19 +464,43 @@ def test_checkpoint_networks_must_fit_exit_4(
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["inspect", "--checkpoint", "{bad}"],
-    ["plan", "--checkpoint", "{bad}", "--out", "{out}"],
-    ["evaluate", "--checkpoint", "{ckpt}", "--pools", "{bad}", "--episodes", "1", "--out", "{out}"],
-    ["plan", "--checkpoint", "{ckpt}", "--scenario", "{bad}", "--out", "{out}"],
-    ["train", "--config", "{bad}", "--total-weeks", "0", "--out", "{out}", "--log", "{out}"],
-    ["gen-scenarios", "--mode", "historic", "--prices", "{bad}", "--inflows", "{inflows}",
-     "--out", "{out}"],
-], ids=["inspect-checkpoint", "plan-checkpoint", "evaluate-pools", "plan-scenario", "train-config",
-        "gen-scenarios-prices"])
-def test_non_utf8_input_exit_4(argv, tmp_path, trained_files, capsys):
-    bad = tmp_path / "latin1.txt"
-    bad.write_bytes("week,caf\xe9\n".encode("latin-1"))
+# Each command that reads an input file, with the format of the file named {bad}:
+# JSON, or the header line of a CSV input.
+INPUT_ARGVS = {
+    "inspect-checkpoint": ("json", ["inspect", "--checkpoint", "{bad}"]),
+    "plan-checkpoint": ("json", ["plan", "--checkpoint", "{bad}", "--out", "{out}"]),
+    "evaluate-pools": ("json", ["evaluate", "--checkpoint", "{ckpt}", "--pools", "{bad}",
+                                "--episodes", "1", "--out", "{out}"]),
+    "plan-scenario": ("week,price,inflow",
+                      ["plan", "--checkpoint", "{ckpt}", "--scenario", "{bad}", "--out", "{out}"]),
+    "train-config": ("json", ["train", "--config", "{bad}", "--total-weeks", "0",
+                              "--out", "{out}", "--log", "{out}"]),
+    "gen-scenarios-prices": ("year,week,value",
+                             ["gen-scenarios", "--mode", "historic", "--prices", "{bad}",
+                              "--inflows", "{inflows}", "--out", "{out}"]),
+}
+
+# Bad file content by name, made from the input's format; the non-UTF-8 case
+# is named by the command alone.
+BAD_CONTENTS = {
+    "": lambda fmt: "week,caf\xe9\n".encode("latin-1"),
+    "too-deep": lambda fmt: b"[" * 100_000,  # past the recursion limit
+    "long-int": lambda fmt: b"1" * 5_000,  # past the 4300-digit int conversion limit
+    "long-field": lambda fmt: f"{fmt}\n1,1,{'5' * 200_000}\n".encode(),  # csv's 131,072 limit
+}
+
+
+@pytest.mark.parametrize("command, content", [
+    pytest.param(command, content, id=f"{command}-{content}" if content else command)
+    for command, (fmt, _) in INPUT_ARGVS.items()
+    for content in BAD_CONTENTS
+    # all inputs take the non-UTF-8 bytes, JSON ones the JSON cases, CSV ones the long field
+    if content == "" or (content == "long-field") == (fmt != "json")
+])
+def test_non_utf8_input_exit_4(command, content, tmp_path, trained_files, capsys):
+    fmt, argv = INPUT_ARGVS[command]
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(BAD_CONTENTS[content](fmt))
     out = tmp_path / "out"
     _, inflows = historic_csvs(tmp_path, n_inflows=1)
     names = {"bad": bad, "out": out, "ckpt": trained_files[0], "inflows": inflows[0]}

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -537,6 +539,22 @@ class TestCsvWriters:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == records[0].total_reward
+
+    def test_fifo_output_written_in_place(self, trained, tmp_path):
+        _, _, records = trained
+        write_train_log(records, tmp_path / "log.csv")
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        # a reader that never blocks lets the writer open the FIFO
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_train_log(records, fifo)
+            data = os.read(fd, 1 << 20)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data == (tmp_path / "log.csv").read_bytes()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_eval_csv_format(self, trained, pools, tmp_path):
         _, ckpt, _ = trained
