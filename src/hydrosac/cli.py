@@ -340,7 +340,7 @@ def cmd_plan(args):
     else:
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
-    agent = ckpt.restore_agent()
+    agent = ckpt.agent
     env_cfg = ckpt.config.env
     total, trace = tr.rollout(
         lambda obs, rng: agent.policy.mean_action(obs),
@@ -361,10 +361,7 @@ def cmd_plan(args):
 
 def cmd_inspect(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
-    shapes = {}
-    for name, layers in ckpt.networks.items():
-        widths = [layers[0][0].shape[1]] + [w.shape[0] for w, _, _ in layers]
-        shapes[name] = widths
+    shapes = {name: net.widths for name, net in ckpt.agent.networks().items()}
     if args.as_json:
         doc = {
             "version": ckpt.version,

@@ -151,13 +151,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def export_params(self):
-        """Layers as (weight (out, in), bias, activation) tuples."""
-        return [
-            (np.ascontiguousarray(layer.wt.T), layer.bias.copy(), layer.activation)
-            for layer in self.layers
-        ]
-
     def copy(self):
         # the new Mlp copies the arrays into a vector of its own
         return Mlp([Layer(l.wt, l.bias, l.activation) for l in self.layers])
@@ -200,8 +193,9 @@ def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
 class RmspropState:
     """Squared-gradient accumulators for one network, in one flat vector.
 
-    `params` are the network's parameter arrays in flat order. Their shapes
-    lay out `acc` for export and load, which stay per array.
+    `params` are the network's parameter arrays in flat order. `arrays`
+    holds one view into `acc` per parameter array, shaped like it; a
+    checkpoint stores and loads the accumulators through these views.
     """
 
     def __init__(self, params, rho=0.99, eps=1e-8):
@@ -209,18 +203,15 @@ class RmspropState:
         self.eps = eps
         size = sum(p.size for p in params)
         self.acc = np.zeros(size)
-        self._arrays = _views(self.acc, [p.shape for p in params])
+        self.arrays = _views(self.acc, [p.shape for p in params])
         # scratch for rmsprop_step, so that a step allocates nothing
         self._t = np.empty(size)
         self._u = np.empty(size)
 
-    def export(self):
-        return [a.copy() for a in self._arrays]
-
     def load(self, accumulators):
-        if len(accumulators) != len(self._arrays):
+        if len(accumulators) != len(self.arrays):
             raise ValueError("accumulator count mismatch")
-        for mine, theirs in zip(self._arrays, accumulators):
+        for mine, theirs in zip(self.arrays, accumulators):
             theirs = np.asarray(theirs, dtype=float)
             if theirs.shape != mine.shape:
                 raise ValueError("accumulator shape mismatch")

@@ -6,9 +6,11 @@ generator, `play`, and every action comes from a callable
 samples in training, the policy's mean or a sample in evaluation, or any
 baseline. Training is one serialized loop driven by a single seeded
 generator; evaluation derives an independent generator per episode from
-(seed, episode index). Checkpoints are JSON documents whose floating point
-numbers are written as full-precision decimal strings, so a save/load round
-trip reproduces every 64-bit value exactly.
+(seed, episode index). A Checkpoint holds the live agent it describes: saving
+reads the agent's arrays in place, and loading builds the agent once. On disk
+it is a JSON document whose floating point numbers are written as
+full-precision decimal strings, so a save/load round trip reproduces every
+64-bit value exactly.
 """
 
 import dataclasses
@@ -118,10 +120,11 @@ def _fits(value, kind):
 
 @dataclass
 class Checkpoint:
+    """A trained agent with its config echo, generator state, episode count and
+    replay; `train` may return one that shares the agent it trained."""
     version: int
     config: TrainConfig
-    networks: dict  # name -> [(weight, bias, activation), ...]
-    optimizer_states: dict  # name -> [accumulator arrays]
+    agent: AgentBundle
     rng_state: dict
     episode: int
     replay_size: int
@@ -129,46 +132,26 @@ class Checkpoint:
 
     @classmethod
     def from_agent(cls, cfg, agent, rng, episode, buffer=None):
-        networks = {name: net.export_params() for name, net in agent.networks().items()}
-        optimizer_states = {name: opt.export() for name, opt in agent.optimizers().items()}
         replay = None
         if buffer is not None and cfg.include_replay_in_checkpoint:
             replay = buffer.export_arrays()
-        return cls(
-            version=CHECKPOINT_VERSION,
-            config=cfg,
-            networks=networks,
-            optimizer_states=optimizer_states,
-            rng_state=rng.bit_generator.state,
-            episode=episode,
-            replay_size=0 if buffer is None else len(buffer),
-            replay=replay,
-        )
+        return cls(CHECKPOINT_VERSION, cfg, agent, rng.bit_generator.state, episode,
+                   0 if buffer is None else len(buffer), replay)
+
+    @property
+    def networks(self):
+        """Name -> [(weight (out, in), bias, activation), ...], as views into the agent."""
+        return {name: [(l.weight, l.bias, l.activation) for l in net.layers]
+                for name, net in self.agent.networks().items()}
+
+    @property
+    def optimizer_states(self):
+        """Name -> accumulator arrays, one per parameter array, as views into the agent."""
+        return {name: opt.arrays for name, opt in self.agent.optimizers().items()}
 
     def restore_agent(self):
-        """Rebuild a live AgentBundle from the entries the agent names; others are ignored."""
-        try:
-            agent = AgentBundle.from_networks(self.config.agent, {
-                name: Mlp([layer_from_weight(w, b, act) for w, b, act in self.networks[name]])
-                for name in NETWORKS
-            })
-            for name, opt in agent.optimizers().items():
-                opt.load(self.optimizer_states[name])
-            _check_finite(agent)
-        except (KeyError, ValueError) as e:
-            raise CheckpointError(f"checkpoint does not describe a valid agent: {e}") from None
-        return agent
-
-
-def _check_finite(agent):
-    """Raise ValueError if a network parameter or an optimizer accumulator is NaN or infinite."""
-    # each optimizer is named after the network it trains; the value target, last, has none
-    opts = agent.optimizers()
-    vectors = {f"network {n}": getattr(agent, n).params for n in (*opts, list(NETWORKS)[-1])}
-    vectors.update({f"optimizer {n}": opt.acc for n, opt in opts.items()})
-    for name, vector in vectors.items():
-        if not np.all(np.isfinite(vector)):
-            raise ValueError(f"{name} holds a non-finite value")
+        """The checkpoint's agent itself, not a copy."""
+        return self.agent
 
 
 def play(action_fn, scenario, env_cfg, rng):
@@ -295,7 +278,7 @@ def evaluate(ckpt, pools, n_episodes, deterministic, seed):
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    agent = ckpt.restore_agent()
+    agent = ckpt.agent
     if deterministic:
         action_fn = lambda obs, rng: agent.policy.mean_action(obs)
     else:
@@ -389,7 +372,29 @@ def save_checkpoint(ckpt, path):
     _write_atomic(path, lambda fh: _write_json(doc, fh))
 
 
+def _build_agent(cfg, networks, optimizer_states):
+    """The agent that decoded layers and accumulators describe; unnamed entries are ignored."""
+    try:
+        agent = AgentBundle.from_networks(cfg, {
+            name: Mlp([layer_from_weight(w, b, act) for w, b, act in networks[name]])
+            for name in NETWORKS
+        })
+        opts = agent.optimizers()
+        for name, opt in opts.items():
+            opt.load(optimizer_states[name])
+        # each optimizer is named after the network it trains; the value target, last, has none
+        vectors = {f"network {n}": getattr(agent, n).params for n in (*opts, list(NETWORKS)[-1])}
+        vectors.update({f"optimizer {n}": opt.acc for n, opt in opts.items()})
+        for name, vector in vectors.items():
+            if not np.all(np.isfinite(vector)):
+                raise ValueError(f"{name} holds a non-finite value")
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"checkpoint does not describe a valid agent: {e}") from None
+    return agent
+
+
 def load_checkpoint(path):
+    """Decode the checkpoint at `path` and build its agent, once."""
     doc = read_json(path, CheckpointError)
     try:
         version = int(doc["version"])
@@ -408,25 +413,27 @@ def load_checkpoint(path):
             name: [_decode_array(a) for a in accs]
             for name, accs in doc["optimizer_states"].items()
         }
-        ckpt = Checkpoint(
-            version=version,
-            config=config,
-            networks=networks,
-            optimizer_states=optimizer_states,
-            rng_state=doc["rng_state"],
-            episode=int(doc["episode"]),
-            replay_size=int(doc["replay_size"]),
-            replay=None
-            if doc.get("replay") is None
-            else {k: _decode_array(v) for k, v in doc["replay"].items()},
-        )
+        rng_state = doc["rng_state"]
+        np.random.PCG64().state = rng_state  # raises unless it is a PCG64 state
+        episode, n = int(doc["episode"]), int(doc["replay_size"])
+        if episode < 0 or n < 0:
+            raise ValueError(f"episode {episode} and replay_size {n} must be >= 0")
+        agent = _build_agent(config.agent, networks, optimizer_states)
+        # replay last: decoded before the agent, a 52,000-row one raised later loads' peak RSS ~4 MB
+        replay = doc.get("replay")
+        if replay is not None:
+            replay = {k: _decode_array(v) for k, v in replay.items()}
+            for name, shape in (("obs", (n, OBS_DIM)), ("actions", (n,)), ("rewards", (n,)),
+                                ("next_obs", (n, OBS_DIM)), ("done", (n,))):
+                if replay[name].shape != shape:
+                    raise ValueError(f"replay {name} has shape {replay[name].shape}, "
+                                     f"expected {shape}")
     except CheckpointError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:  # e.g. a section not an object
+    # e.g. a section not an object, or an rng_state numpy cannot set
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from None
-    # Fail fast on inconsistent shapes.
-    ckpt.restore_agent()
-    return ckpt
+    return Checkpoint(version, config, agent, rng_state, episode, n, replay)
 
 
 def write_train_log(records, path):

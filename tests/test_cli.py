@@ -10,7 +10,7 @@ from hydrosac import scenario as sc
 from hydrosac import trainer as tr
 from hydrosac.cli import main
 from hydrosac.env import EnvConfig
-from hydrosac.sac import SacConfig
+from hydrosac.sac import AgentBundle, SacConfig
 from hydrosac.scenario import ArtificialConfig
 
 
@@ -429,6 +429,62 @@ def replay_list(doc):
     doc["replay"] = []
 
 
+def rng_state_list(doc):
+    doc["rng_state"] = []
+
+
+def rng_state_empty(doc):
+    doc["rng_state"] = {}
+
+
+def rng_state_mt19937(doc):
+    state = np.random.MT19937(0).state
+    state["state"]["key"] = state["state"]["key"].tolist()
+    doc["rng_state"] = state
+
+
+def rng_state_negative(doc):
+    doc["rng_state"]["state"]["state"] = -1
+
+
+def negative_episode(doc):
+    doc["episode"] = -3
+
+
+def infinite_episode(doc):
+    doc["episode"] = float("inf")  # json writes Infinity, which json reads back
+
+
+def negative_replay_size(doc):
+    doc["replay_size"] = -1
+
+
+def zero_replay(doc, n=3):
+    """Give doc a replay of n all-zero transitions, laid out as the writer lays it out."""
+    doc["replay_size"] = n
+    doc["replay"] = {name: {"shape": shape, "values": ["0.0"] * int(np.prod(shape))}
+                     for name, shape in (("obs", [n, 5]), ("actions", [n]), ("rewards", [n]),
+                                         ("next_obs", [n, 5]), ("done", [n]))}
+    return doc["replay"]
+
+
+def replay_without_done(doc):
+    del zero_replay(doc)["done"]
+
+
+def replay_obs_flat(doc):
+    zero_replay(doc)["obs"]["shape"] = [-1]
+
+
+def replay_actions_column(doc):
+    zero_replay(doc)["actions"]["shape"] = [3, 1]
+
+
+def replay_longer_than_replay_size(doc):
+    zero_replay(doc)
+    doc["replay_size"] = 2
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
@@ -443,6 +499,19 @@ def replay_list(doc):
     (networks_list, "malformed checkpoint"),
     (optimizer_states_list, "malformed checkpoint"),
     (replay_list, "malformed checkpoint"),
+    (rng_state_list, "malformed checkpoint (state must be a dict)"),
+    (rng_state_empty, "malformed checkpoint (state must be for a PCG64 RNG)"),
+    (rng_state_mt19937, "malformed checkpoint (state must be for a PCG64 RNG)"),
+    (rng_state_negative, "malformed checkpoint (Python integer -1 out of bounds for uint64)"),
+    (negative_episode, "malformed checkpoint (episode -3 and replay_size 208 must be >= 0)"),
+    (infinite_episode, "malformed checkpoint (cannot convert float infinity to integer)"),
+    (negative_replay_size, "malformed checkpoint (episode 4 and replay_size -1 must be >= 0)"),
+    (replay_without_done, "malformed checkpoint ('done')"),
+    (replay_obs_flat, "malformed checkpoint (replay obs has shape (15,), expected (3, 5))"),
+    (replay_actions_column,
+     "malformed checkpoint (replay actions has shape (3, 1), expected (3,))"),
+    (replay_longer_than_replay_size,
+     "malformed checkpoint (replay obs has shape (3, 5), expected (2, 5))"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -461,7 +530,33 @@ def test_checkpoint_networks_must_fit_exit_4(
         "evaluate", "--checkpoint", str(bad), "--pools", str(pools_file),
         "--episodes", "1", "--out", str(tmp_path / "e.csv"),
     ]) == 4
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if message.startswith("malformed checkpoint"):
+        assert err.count(f"error: {bad}: {message}") == 3
+
+
+def test_a_load_builds_one_agent(tmp_path, trained_files, pools_file, monkeypatch):
+    """load_checkpoint builds the checkpoint's agent once; plan and evaluate use that one."""
+    built = []
+    init = AgentBundle.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AgentBundle, "__init__", counting_init)
+    ckpt, _ = trained_files
+    assert tr.load_checkpoint(ckpt).agent is built[0] and len(built) == 1
+    for argv in (
+        ["plan", "--checkpoint", str(ckpt), "--pools", str(pools_file), "--seed", "6",
+         "--out", str(tmp_path / "plan.csv")],
+        ["evaluate", "--checkpoint", str(ckpt), "--pools", str(pools_file), "--episodes", "2",
+         "--out", str(tmp_path / "e.csv")],
+    ):
+        built.clear()
+        assert run(argv) == 0
+        assert len(built) == 1, argv[0]
 
 
 # Each command that reads an input file, with the format of the file named {bad}:

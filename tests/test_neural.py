@@ -362,7 +362,7 @@ class TestRmsprop:
                 start += p.size
             for mine, ref in zip(net.parameters(), arrays):
                 assert np.array_equal(mine, ref)
-            for mine, ref in zip(state.export(), accs):
+            for mine, ref in zip(state.arrays, accs):
                 assert mine.shape == ref.shape
                 assert np.array_equal(mine, ref)
 

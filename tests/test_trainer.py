@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import io
@@ -361,7 +362,9 @@ class TestCheckpointRoundTrip:
 
 def reference_checkpoint_text(ckpt):
     """The checkpoint as the one-shot encoder wrote it: the whole document, with
-    every float as the string repr(float(x)), through one json.dump."""
+    every float as the string repr(float(x)), through one json.dump. It reads
+    the agent's layers and flat accumulators itself, not Checkpoint.networks
+    or .optimizer_states, which save_checkpoint reads."""
     def floats(a):
         return [repr(float(x)) for x in np.asarray(a, dtype=float).ravel(order="C")]
 
@@ -369,16 +372,25 @@ def reference_checkpoint_text(ckpt):
         a = np.asarray(a, dtype=float)
         return {"shape": list(a.shape), "values": floats(a)}
 
+    def accumulators(opt, params):
+        ends = np.cumsum([p.size for p in params])
+        return [opt.acc[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+
+    agent = ckpt.agent
     doc = {
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
-            name: [{"rows": w.shape[0], "cols": w.shape[1], "weights": floats(w),
-                    "bias": floats(b), "activation": act} for w, b, act in layers]
-            for name, layers in ckpt.networks.items()
+            name: [{"rows": layer.wt.shape[1], "cols": layer.wt.shape[0],
+                    "weights": floats(np.ascontiguousarray(layer.wt.T)),
+                    "bias": floats(layer.bias), "activation": layer.activation}
+                   for layer in net.layers]
+            for name, net in agent.networks().items()
         },
         "optimizer_states": {
-            name: [array(a) for a in accs] for name, accs in ckpt.optimizer_states.items()
+            # each optimizer trains the network of its name
+            name: [array(a) for a in accumulators(opt, getattr(agent, name).parameters())]
+            for name, opt in agent.optimizers().items()
         },
         "rng_state": ckpt.rng_state,
         "episode": ckpt.episode,
@@ -396,21 +408,20 @@ NONFINITE = [float("inf"), float("-inf")] + list(np.array(NAN_BITS, dtype=np.int
 
 
 def with_replay(ckpt, **arrays):
-    """ckpt with a replay of 8 transitions: every array zero but the ones given."""
+    """ckpt with a replay of 8 transitions, every array zero but the ones given, and
+    a copy of its agent, so that a caller may write into it and leave ckpt as it was."""
     replay = {"obs": np.zeros((8, 5)), "actions": np.zeros(8), "rewards": np.zeros(8),
               "next_obs": np.zeros((8, 5)), "done": np.zeros(8)}
     replay.update({name: np.asarray(a, dtype=float) for name, a in arrays.items()})
-    return dataclasses.replace(ckpt, replay=replay, replay_size=8)
+    return dataclasses.replace(ckpt, agent=copy.deepcopy(ckpt.agent), replay=replay,
+                               replay_size=8)
 
 
 def edge_floats_everywhere(ckpt):
-    (w, b, act), *rest = ckpt.networks["q1"]
-    w = w.copy()
-    w.flat[:8] = EDGE_FLOATS  # -0.0 and 0.0 in one array
-    networks = {**ckpt.networks, "q1": [(w, b, act), *rest]}
-    ckpt = dataclasses.replace(ckpt, networks=networks)
-    return with_replay(ckpt, obs=np.resize(EDGE_FLOATS, (8, 5)), actions=EDGE_FLOATS,
+    ckpt = with_replay(ckpt, obs=np.resize(EDGE_FLOATS, (8, 5)), actions=EDGE_FLOATS,
                        next_obs=-np.resize(EDGE_FLOATS, (8, 5))[::-1])
+    ckpt.agent.q1.layers[0].weight.flat[:8] = EDGE_FLOATS  # -0.0 and 0.0 in one array
+    return ckpt
 
 
 def nonfinite_replay(ckpt):
@@ -447,8 +458,10 @@ class TestCheckpointBytes:
         assert '"obs": {"shape": [0, 5], "values": []}' in text
 
     def test_edge_floats_round_trip_bit_for_bit(self, trained, tmp_path):
-        _, ckpt, _ = trained
-        ckpt = edge_floats_everywhere(ckpt)
+        _, trained_ckpt, _ = trained
+        ckpt = edge_floats_everywhere(trained_ckpt)
+        # the tamper wrote into a copy of the agent, not into the shared fixture's
+        assert not np.array_equal(trained_ckpt.networks["q1"][0][0].flat[:8], EDGE_FLOATS)
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
