@@ -288,16 +288,17 @@ def sample_scenario(pools, rng):
     return Scenario(prices=values[0::2], inflows=values[1::2])
 
 
-def read_json(path, error=DataError):
+def read_json(path, error=DataError, object_pairs_hook=None):
     """Decode the JSON file at `path`; every JSON input is read here.
 
     Bad syntax, non-UTF-8 bytes, an integer over Python's 4300-digit limit
     (all ValueError) and nesting too deep to decode (RecursionError) raise
     `error` naming `path`; a missing or unreadable file raises OSError.
+    `object_pairs_hook` goes to json.load; it must raise nothing, or its error is misreported.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
         except (ValueError, RecursionError) as e:
             raise error(f"{path} is not valid JSON ({e})") from None
 

@@ -332,7 +332,28 @@ def _write_json(obj, fh):
 
 
 def _decode_floats(values, shape):
-    return np.fromiter(map(float, values), dtype=float, count=len(values)).reshape(shape)
+    if not isinstance(values, np.ndarray):  # left by the hook: decodes, or raises float()'s error
+        values = np.fromiter(map(float, values), dtype=float, count=len(values))
+    return values.reshape(shape)
+
+
+# the objects save_checkpoint writes -> their keys that hold lists of decimal strings
+_FLOAT_LISTS = {frozenset({"shape", "values"}): ("values",),
+                frozenset({"rows", "cols", "weights", "bias", "activation"}): ("weights", "bias")}
+
+
+def _decode_while_parsing(pairs):
+    """json object_pairs_hook: decode the float lists of each object the writer emits as
+    soon as the parser closes it, so the whole document never holds them as strings.
+    A list that will not decode stays as it is, for _decode_floats to reject later."""
+    obj = dict(pairs)
+    for key in _FLOAT_LISTS.get(frozenset(obj), ()):
+        if isinstance(obj[key], list):
+            try:
+                obj[key] = _decode_floats(obj[key], -1)
+            except (OverflowError, TypeError, ValueError):
+                pass
+    return obj
 
 
 def _decode_layer(doc):
@@ -395,7 +416,7 @@ def _build_agent(cfg, networks, optimizer_states):
 
 def load_checkpoint(path):
     """Decode the checkpoint at `path` and build its agent, once."""
-    doc = read_json(path, CheckpointError)
+    doc = read_json(path, CheckpointError, _decode_while_parsing)
     try:
         version = int(doc["version"])
         if version != CHECKPOINT_VERSION:
@@ -415,11 +436,13 @@ def load_checkpoint(path):
         }
         rng_state = doc["rng_state"]
         np.random.PCG64().state = rng_state  # raises unless it is a PCG64 state
-        episode, n = int(doc["episode"]), int(doc["replay_size"])
+        episode, n = int(doc["episode"]), int(doc["replay_size"])  # first: inf keeps int()'s error
+        if type(doc["episode"]) is not int or type(doc["replay_size"]) is not int:
+            raise ValueError(f"episode {doc['episode']!r} and replay_size "
+                             f"{doc['replay_size']!r} must be JSON integers")
         if episode < 0 or n < 0:
             raise ValueError(f"episode {episode} and replay_size {n} must be >= 0")
         agent = _build_agent(config.agent, networks, optimizer_states)
-        # replay last: decoded before the agent, a 52,000-row one raised later loads' peak RSS ~4 MB
         replay = doc.get("replay")
         if replay is not None:
             replay = {k: _decode_array(v) for k, v in replay.items()}

@@ -485,6 +485,18 @@ def replay_longer_than_replay_size(doc):
     doc["replay_size"] = 2
 
 
+def episode_text(doc):
+    doc["episode"] = "12"
+
+
+def episode_true(doc):
+    doc["episode"] = True
+
+
+def replay_size_fraction(doc):
+    doc["replay_size"] = 3.7
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "unknown activation 'tanh'"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
@@ -512,6 +524,10 @@ def replay_longer_than_replay_size(doc):
      "malformed checkpoint (replay actions has shape (3, 1), expected (3,))"),
     (replay_longer_than_replay_size,
      "malformed checkpoint (replay obs has shape (3, 5), expected (2, 5))"),
+    (episode_text, "malformed checkpoint (episode '12' and replay_size 208 must be JSON integers)"),
+    (episode_true, "malformed checkpoint (episode True and replay_size 208 must be JSON integers)"),
+    (replay_size_fraction,
+     "malformed checkpoint (episode 4 and replay_size 3.7 must be JSON integers)"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -635,11 +651,27 @@ def nested_replay_value(doc):
     values[7] = [values[7]]
 
 
-@pytest.mark.parametrize("tamper", [
-    null_layer_weight, nested_layer_weight, null_replay_value, nested_replay_value,
+def huge_int_layer_weight(doc):
+    doc["networks"]["q2"][0]["weights"][4] = 10 ** 400
+
+
+def huge_int_replay_value(doc):
+    doc["replay"]["next_obs"]["values"][9] = 10 ** 400
+
+
+NOT_A_NUMBER = "float() argument must be a string or a real number"
+TOO_LARGE = "malformed checkpoint (int too large to convert to float)"
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(tamper, message, id=tamper.__name__) for tamper, message in [
+        (null_layer_weight, NOT_A_NUMBER), (nested_layer_weight, NOT_A_NUMBER),
+        (null_replay_value, NOT_A_NUMBER), (nested_replay_value, NOT_A_NUMBER),
+        (huge_int_layer_weight, TOO_LARGE), (huge_int_replay_value, TOO_LARGE),
+    ]
 ])
 def test_checkpoint_values_must_be_decimal_strings_exit_4(
-    tamper, tmp_path, replay_ckpt_file, pools_file, capsys
+    tamper, message, tmp_path, replay_ckpt_file, pools_file, capsys
 ):
     doc = json.loads(replay_ckpt_file.read_text())
     tamper(doc)
@@ -654,8 +686,22 @@ def test_checkpoint_values_must_be_decimal_strings_exit_4(
         "evaluate", "--checkpoint", str(bad), "--pools", str(pools_file),
         "--episodes", "1", "--out", str(tmp_path / "e.csv"),
     ]) == 4
-    assert capsys.readouterr().err.count("float() argument must be a string or a real number") == 3
+    assert capsys.readouterr().err.count(message) == 3
     assert not (tmp_path / "plan.csv").exists() and not (tmp_path / "e.csv").exists()
+
+
+def test_checkpoint_values_are_what_float_reads(tmp_path, replay_ckpt_file):
+    """float() decides what a checkpoint entry may be, not the writer's decimal strings."""
+    doc = json.loads(replay_ckpt_file.read_text())
+    doc["networks"]["policy_trunk"][0]["weights"][2] = True
+    doc["replay"]["rewards"]["values"][5] = 7
+    doc["replay"]["actions"]["values"][3] = " 0.5 "
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    ckpt = tr.load_checkpoint(path)
+    assert ckpt.agent.policy.trunk.layers[0].weight.flat[2] == 1.0
+    assert ckpt.replay["rewards"][5] == 7.0 and ckpt.replay["actions"][3] == 0.5
+    assert run(["inspect", "--checkpoint", str(path)]) == 0
 
 
 @pytest.mark.parametrize("pool, week, replace, message", [

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,21 @@ class TestCheckpointRoundTrip:
         _, ckpt, _ = trained
         assert ckpt.replay is None
         assert ckpt.replay_size == 208
+
+    def test_load_memory_bounded_by_file_size(self, pools, tmp_path):
+        """A load decodes each array as it is parsed, so the document never holds all
+        its floats as strings: the peak is about the file text and one array's strings."""
+        cfg = small_cfg(total_weeks=2080, exploration_weeks=2080, include_replay_in_checkpoint=True,
+                        agent=SacConfig(hidden_width=8))
+        path = tmp_path / "ck.json"
+        save_checkpoint(train(cfg, pools)[0], path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size
 
 
 def reference_checkpoint_text(ckpt):
