@@ -30,29 +30,11 @@ from .neural import (
 
 OBS_DIM = 5
 
-# The agent's networks under their checkpoint names, in file order, with the
-# width each takes in (None: the policy trunk's output). All but the trunk give one number.
-NETWORKS = {"policy_trunk": OBS_DIM, "policy_mean_head": None, "policy_log_std_head": None,
-            "q1": OBS_DIM + 1, "q2": OBS_DIM + 1, "value": OBS_DIM, "value_target": OBS_DIM}
+# The agent's networks under their checkpoint names, in file order.
+NETWORKS = ("policy_trunk", "policy_mean_head", "policy_log_std_head",
+            "q1", "q2", "value", "value_target")
 # One RMSprop state per trained part, in file order: the policy, both Qs, the value net.
-OPTIMIZERS = ("policy", *list(NETWORKS)[3:6])
-
-
-def check_widths(nets):
-    """Raise ValueError unless `nets`, name -> Mlp in NETWORKS order, take and give
-    the widths NETWORKS says, and the value pair match."""
-    (trunk_name, trunk), *others = nets.items()
-    n_in = NETWORKS[trunk_name]
-    if trunk.widths[0] != n_in:
-        raise ValueError(f"network {trunk_name} has widths {trunk.widths}; expected {n_in} inputs")
-    for name, net in others:
-        n_in = NETWORKS[name] or trunk.widths[-1]
-        if net.widths[0] != n_in or net.widths[-1] != 1:
-            raise ValueError(f"network {name} has widths {net.widths}; "
-                             f"expected {n_in} inputs and 1 output")
-    (value_name, value), (target_name, target) = others[-2:]
-    if value.widths != target.widths:
-        raise ValueError(f"networks {value_name} and {target_name} differ in widths")
+OPTIMIZERS = ("policy", *NETWORKS[3:6])
 
 
 class TrainingAborted(RuntimeError):
@@ -195,15 +177,6 @@ class AgentBundle:
         value = mlp_init([OBS_DIM, w, w, w, 1], hidden3, rng, cfg.init_bound)
         value_target = value.copy()
         return cls(cfg, policy, q1, q2, value, value_target)
-
-    @classmethod
-    def from_networks(cls, cfg, nets):
-        """Fresh optimizers around `nets`, name -> Mlp in NETWORKS order; see check_widths()."""
-        check_widths(nets)
-        trunk, mean_head, log_std_head, *rest = nets.values()
-        policy = PolicyNet(trunk, mean_head, log_std_head, log_std_min=cfg.log_std_min,
-                           log_std_max=cfg.log_std_max, prob_floor=cfg.squash_prob_floor)
-        return cls(cfg, policy, *rest)
 
     def networks(self):
         """Name -> Mlp of every network, in NETWORKS order."""

@@ -7,7 +7,8 @@ samples in training, the policy's mean or a sample in evaluation, or any
 baseline. Training is one serialized loop driven by a single seeded
 generator; evaluation derives an independent generator per episode from
 (seed, episode index). A Checkpoint holds the live agent it describes: saving
-reads the agent's arrays in place, and loading builds the agent once. On disk
+reads the agent's arrays in place, and loading builds the agent its config
+echo describes, once, and writes the stored arrays into it. On disk
 it is a JSON document whose floating point numbers are written as
 full-precision decimal strings, so a save/load round trip reproduces every
 64-bit value exactly.
@@ -22,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .env import EnvConfig, observe, reset, step
-from .neural import Mlp, layer_from_weight
-from .sac import NETWORKS, OBS_DIM, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
+from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
+                  TrainingAborted, update)
 from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario
 
 CHECKPOINT_VERSION = 1
@@ -332,8 +333,10 @@ def _write_json(obj, fh):
 
 
 def _decode_floats(values, shape):
-    if not isinstance(values, np.ndarray):  # left by the hook: decodes, or raises float()'s error
+    if isinstance(values, list):  # left by the hook: decodes, or raises float()'s error
         values = np.fromiter(map(float, values), dtype=float, count=len(values))
+    elif not isinstance(values, np.ndarray):
+        raise ValueError(f"array values must be a JSON list, not {type(values).__name__}")
     return values.reshape(shape)
 
 
@@ -354,16 +357,6 @@ def _decode_while_parsing(pairs):
             except (OverflowError, TypeError, ValueError):
                 pass
     return obj
-
-
-def _decode_layer(doc):
-    rows = int(doc["rows"])
-    cols = int(doc["cols"])
-    if len(doc["weights"]) != rows * cols or len(doc["bias"]) != rows:
-        raise CheckpointError("layer size fields disagree with array lengths")
-    weight = _decode_floats(doc["weights"], (rows, cols))
-    bias = _decode_floats(doc["bias"], (rows,))
-    return weight, bias, str(doc["activation"])
 
 
 def _decode_array(doc):
@@ -393,29 +386,30 @@ def save_checkpoint(ckpt, path):
     _write_atomic(path, lambda fh: _write_json(doc, fh))
 
 
-def _build_agent(cfg, networks, optimizer_states):
-    """The agent that decoded layers and accumulators describe; unnamed entries are ignored."""
-    try:
-        agent = AgentBundle.from_networks(cfg, {
-            name: Mlp([layer_from_weight(w, b, act) for w, b, act in networks[name]])
-            for name in NETWORKS
-        })
-        opts = agent.optimizers()
-        for name, opt in opts.items():
-            opt.load(optimizer_states[name])
-        # each optimizer is named after the network it trains; the value target, last, has none
-        vectors = {f"network {n}": getattr(agent, n).params for n in (*opts, list(NETWORKS)[-1])}
-        vectors.update({f"optimizer {n}": opt.acc for n, opt in opts.items()})
-        for name, vector in vectors.items():
-            if not np.all(np.isfinite(vector)):
-                raise ValueError(f"{name} holds a non-finite value")
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"checkpoint does not describe a valid agent: {e}") from None
-    return agent
+def _load_network(net, name, layers):
+    """Write the stored `layers` of network `name` into `net`'s arrays, in place,
+    once their shapes and activations are checked against `net`'s."""
+    rows = [doc["rows"] for doc in layers]
+    cols = [doc["cols"] for doc in layers]
+    widths = cols[:1] + rows
+    if cols != widths[:-1]:  # each layer takes in what the one before gives
+        raise ValueError(f"network {name} has layer rows {rows} and cols {cols}, that do not chain")
+    activations = [doc["activation"] for doc in layers]
+    expected = [layer.activation for layer in net.layers]
+    if widths != net.widths or activations != expected:
+        raise ValueError(f"network {name} has widths {widths} and activations {activations}; "
+                         f"expected {net.widths} and {expected}")
+    for layer, doc in zip(net.layers, layers):
+        layer.wt[...] = _decode_floats(doc["weights"], layer.weight.shape).T
+        layer.bias[...] = _decode_floats(doc["bias"], layer.bias.shape)
 
 
 def load_checkpoint(path):
-    """Decode the checkpoint at `path` and build its agent, once."""
+    """Decode the checkpoint at `path` into the agent its config echo describes.
+
+    The agent is built once, by AgentBundle.init; the stored layers and
+    accumulators are checked against its shapes and written into its arrays.
+    """
     doc = read_json(path, CheckpointError, _decode_while_parsing)
     try:
         version = int(doc["version"])
@@ -426,14 +420,6 @@ def load_checkpoint(path):
             )
         config = config_from_dict(TrainConfig, doc["config"], "checkpoint")
         config.validate()
-        networks = {
-            name: [_decode_layer(layer) for layer in layers]
-            for name, layers in doc["networks"].items()
-        }
-        optimizer_states = {
-            name: [_decode_array(a) for a in accs]
-            for name, accs in doc["optimizer_states"].items()
-        }
         rng_state = doc["rng_state"]
         np.random.PCG64().state = rng_state  # raises unless it is a PCG64 state
         episode, n = int(doc["episode"]), int(doc["replay_size"])  # first: inf keeps int()'s error
@@ -442,7 +428,17 @@ def load_checkpoint(path):
                              f"{doc['replay_size']!r} must be JSON integers")
         if episode < 0 or n < 0:
             raise ValueError(f"episode {episode} and replay_size {n} must be >= 0")
-        agent = _build_agent(config.agent, networks, optimizer_states)
+        agent = AgentBundle.init(config.agent, np.random.default_rng(0))
+        for name, net in agent.networks().items():  # unnamed entries are ignored
+            _load_network(net, name, doc["networks"][name])
+        for name, opt in agent.optimizers().items():
+            opt.load([_decode_array(a) for a in doc["optimizer_states"][name]])
+        # each optimizer is named after the network it trains; the value target has none
+        vectors = {f"network {k}": getattr(agent, k).params for k in (*OPTIMIZERS, NETWORKS[-1])}
+        vectors.update({f"optimizer {k}": opt.acc for k, opt in agent.optimizers().items()})
+        for name, vector in vectors.items():
+            if not np.all(np.isfinite(vector)):
+                raise ValueError(f"{name} holds a non-finite value")
         replay = doc.get("replay")
         if replay is not None:
             replay = {k: _decode_array(v) for k, v in replay.items()}

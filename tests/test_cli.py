@@ -497,10 +497,24 @@ def replay_size_fraction(doc):
     doc["replay_size"] = 3.7
 
 
+def echo_hidden_width(doc):
+    doc["config"]["agent"]["hidden_width"] = 8  # the networks are 12 wide
+
+
+def linear_q1_layer(doc):
+    doc["networks"]["q1"][0]["activation"] = "linear"
+
+
+def unchained_q1_layer(doc):
+    doc["networks"]["q1"][1]["cols"] = 24
+
+
 @pytest.mark.parametrize("tamper, message", [
-    (unknown_trunk_activation, "unknown activation 'tanh'"),
+    (unknown_trunk_activation, "network policy_trunk has widths [5, 12, 12] and activations "
+                               "['tanh', 'relu']; expected [5, 12, 12] and ['relu', 'relu']"),
     (narrow_trunk_input, "network policy_trunk has widths [4, 12, 12]"),
-    (no_q1_layers, "an Mlp needs at least one layer"),
+    (no_q1_layers, "network q1 has widths [] and activations []; "
+                   "expected [6, 12, 12, 12, 1] and ['relu', 'relu', 'relu', 'linear']"),
     (echo_f_max_zero, "f_max must be in (0, 1]"),
     (echo_f_max_text, "f_max must be float, got 'abc'"),
     (echo_alpha_nan, "alpha must be finite, got nan"),
@@ -528,6 +542,13 @@ def replay_size_fraction(doc):
     (episode_true, "malformed checkpoint (episode True and replay_size 208 must be JSON integers)"),
     (replay_size_fraction,
      "malformed checkpoint (episode 4 and replay_size 3.7 must be JSON integers)"),
+    (echo_hidden_width, "network policy_trunk has widths [5, 12, 12] and activations "
+                        "['relu', 'relu']; expected [5, 8, 8] and ['relu', 'relu']"),
+    (linear_q1_layer, "network q1 has widths [6, 12, 12, 12, 1] and activations "
+                      "['linear', 'relu', 'relu', 'linear']; "
+                      "expected [6, 12, 12, 12, 1] and ['relu', 'relu', 'relu', 'linear']"),
+    (unchained_q1_layer,
+     "network q1 has layer rows [12, 12, 12, 1] and cols [6, 24, 12, 12], that do not chain"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys
@@ -548,6 +569,7 @@ def test_checkpoint_networks_must_fit_exit_4(
     ]) == 4
     err = capsys.readouterr().err
     assert message in err
+    assert err.count(f"error: {bad}: malformed checkpoint (") == 3
     if message.startswith("malformed checkpoint"):
         assert err.count(f"error: {bad}: {message}") == 3
 
@@ -659,8 +681,17 @@ def huge_int_replay_value(doc):
     doc["replay"]["next_obs"]["values"][9] = 10 ** 400
 
 
+def digit_string_layer_bias(doc):
+    doc["networks"]["q1"][0]["bias"] = "77777777"  # as many digits as the layer has rows
+
+
+def digit_string_replay_done(doc):
+    doc["replay"]["done"]["values"] = "1" * 104  # as many digits as the replay has rows
+
+
 NOT_A_NUMBER = "float() argument must be a string or a real number"
 TOO_LARGE = "malformed checkpoint (int too large to convert to float)"
+NOT_A_LIST = "malformed checkpoint (array values must be a JSON list, not str)"
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -668,6 +699,7 @@ TOO_LARGE = "malformed checkpoint (int too large to convert to float)"
         (null_layer_weight, NOT_A_NUMBER), (nested_layer_weight, NOT_A_NUMBER),
         (null_replay_value, NOT_A_NUMBER), (nested_replay_value, NOT_A_NUMBER),
         (huge_int_layer_weight, TOO_LARGE), (huge_int_replay_value, TOO_LARGE),
+        (digit_string_layer_bias, NOT_A_LIST), (digit_string_replay_done, NOT_A_LIST),
     ]
 ])
 def test_checkpoint_values_must_be_decimal_strings_exit_4(

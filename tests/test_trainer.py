@@ -16,7 +16,7 @@ from hydrosac import cli
 from hydrosac import scenario as sc
 from hydrosac import trainer as tr
 from hydrosac.env import EnvConfig
-from hydrosac.sac import SacConfig, TrainingAborted
+from hydrosac.sac import SacConfig, TrainingAborted, update
 from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools, save_pools
 from hydrosac.trainer import (
     Checkpoint,
@@ -359,6 +359,33 @@ class TestCheckpointRoundTrip:
         _, ckpt, _ = trained
         assert ckpt.replay is None
         assert ckpt.replay_size == 208
+
+    def test_loaded_agent_trains_on_bit_for_bit(self, pools, tmp_path):
+        """A loaded agent continues as the saved one would: its layers stay views of the
+        vectors that update() steps, and every step gives the saved agent's bits."""
+        cfg = small_cfg(include_replay_in_checkpoint=True)
+        saved, _ = train(cfg, pools)
+        path = tmp_path / "ck.json"
+        save_checkpoint(saved, path)
+        loaded = load_checkpoint(path)
+        idx = np.random.default_rng(7).integers(0, loaded.replay_size, size=cfg.batch_size)
+        batch = tuple(loaded.replay[k][idx] for k in ("obs", "actions", "rewards", "next_obs",
+                                                      "done"))
+        for agent in (saved.agent, loaded.agent):
+            for net in agent.networks().values():
+                for layer in net.layers:
+                    assert np.shares_memory(layer.wt, net.params)
+                    assert np.shares_memory(layer.bias, net.params)
+        rng_saved, rng_loaded = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            assert update(saved.agent, batch, rng_saved) == update(loaded.agent, batch, rng_loaded)
+        bits = lambda a: a.view(np.int64)
+        for name, net in saved.agent.networks().items():
+            assert np.array_equal(bits(net.params), bits(loaded.agent.networks()[name].params)), name
+        for name, opt in saved.agent.optimizers().items():
+            assert np.array_equal(bits(opt.acc), bits(loaded.agent.optimizers()[name].acc)), name
+        for obs in np.random.default_rng(0).random((10, 5)):
+            assert saved.agent.policy.mean_action(obs) == loaded.agent.policy.mean_action(obs)
 
     def test_load_memory_bounded_by_file_size(self, pools, tmp_path):
         """A load decodes each array as it is parsed, so the document never holds all
