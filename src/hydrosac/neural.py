@@ -156,15 +156,6 @@ class Mlp:
         return Mlp([Layer(l.wt, l.bias, l.activation) for l in self.layers])
 
 
-def layer_from_weight(weight, bias, activation):
-    """Build a Layer from a conventional (out, in) weight matrix."""
-    weight = np.asarray(weight, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    if weight.ndim != 2 or bias.ndim != 1 or weight.shape[0] != bias.shape[0]:
-        raise ValueError("weight must be (out, in) with a matching bias")
-    return Layer(np.ascontiguousarray(weight.T), bias.copy(), activation)
-
-
 def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
     """Build an Mlp with uniform init.
 

@@ -428,8 +428,16 @@ def load_checkpoint(path):
                              f"{doc['replay_size']!r} must be JSON integers")
         if episode < 0 or n < 0:
             raise ValueError(f"episode {episode} and replay_size {n} must be >= 0")
+        for key, names in (("networks", NETWORKS), ("optimizer_states", OPTIMIZERS)):
+            if set(doc[key]) - set(names):
+                raise ValueError(f"{key} has {sorted(doc[key])}; the agent has {list(names)}")
+        w = config.agent.hidden_width  # init allocates w x w layers: bound w by the file's size
+        stored = sum(len(layer["weights"]) + len(layer["bias"])
+                     for layers in doc["networks"].values() for layer in layers)
+        if w * w > stored:
+            raise ValueError(f"hidden_width {w} needs {w * w} or more network values, not {stored}")
         agent = AgentBundle.init(config.agent, np.random.default_rng(0))
-        for name, net in agent.networks().items():  # unnamed entries are ignored
+        for name, net in agent.networks().items():
             _load_network(net, name, doc["networks"][name])
         for name, opt in agent.optimizers().items():
             opt.load([_decode_array(a) for a in doc["optimizer_states"][name]])

@@ -509,6 +509,18 @@ def unchained_q1_layer(doc):
     doc["networks"]["q1"][1]["cols"] = 24
 
 
+def echo_hidden_width_huge(doc):
+    doc["config"]["agent"]["hidden_width"] = 10**7  # init would ask for terabytes
+
+
+def unknown_network(doc):
+    doc["networks"]["q3"] = "not a network"
+
+
+def unknown_optimizer(doc):
+    doc["optimizer_states"]["q3"] = []
+
+
 @pytest.mark.parametrize("tamper, message", [
     (unknown_trunk_activation, "network policy_trunk has widths [5, 12, 12] and activations "
                                "['tanh', 'relu']; expected [5, 12, 12] and ['relu', 'relu']"),
@@ -549,6 +561,14 @@ def unchained_q1_layer(doc):
                       "expected [6, 12, 12, 12, 1] and ['relu', 'relu', 'relu', 'linear']"),
     (unchained_q1_layer,
      "network q1 has layer rows [12, 12, 12, 1] and cols [6, 24, 12, 12], that do not chain"),
+    (echo_hidden_width_huge, "malformed checkpoint (hidden_width 10000000 needs "
+                             "100000000000000 or more network values, not "),
+    (unknown_network, "malformed checkpoint (networks has ['policy_log_std_head', "
+                      "'policy_mean_head', 'policy_trunk', 'q1', 'q2', 'q3', 'value', "
+                      "'value_target']; the agent has ['policy_trunk', 'policy_mean_head', "
+                      "'policy_log_std_head', 'q1', 'q2', 'value', 'value_target'])"),
+    (unknown_optimizer, "malformed checkpoint (optimizer_states has ['policy', 'q1', 'q2', "
+                        "'q3', 'value']; the agent has ['policy', 'q1', 'q2', 'value'])"),
 ])
 def test_checkpoint_networks_must_fit_exit_4(
     tamper, message, tmp_path, trained_files, pools_file, capsys

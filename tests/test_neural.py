@@ -9,10 +9,10 @@ from hydrosac.neural import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     RELU,
+    Layer,
     Mlp,
     PolicyNet,
     RmspropState,
-    layer_from_weight,
     mlp_init,
     rmsprop_step,
     squashed_log_prob,
@@ -93,7 +93,7 @@ class TestMlpInit:
         with pytest.raises(ValueError, match="tanh"):
             mlp_init([3, 4, 1], [RELU, "tanh"], np.random.default_rng(0))
         with pytest.raises(ValueError, match="tanh"):
-            layer_from_weight(np.eye(2), np.zeros(2), "tanh")
+            Layer(np.eye(2), np.zeros(2), "tanh")
 
 
 class TestFlatParameters:
@@ -134,16 +134,16 @@ class TestForward:
         assert net.forward(np.ones(3)) == np.zeros(1)
 
     def test_single_linear_layer(self):
-        net = Mlp([layer_from_weight(np.array([[2.0]]), np.array([1.0]), LINEAR)])
+        net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]), LINEAR)])
         assert net.forward(np.array([3.0]))[0] == 7.0
 
     def test_relu_propagation(self):
-        net = Mlp([layer_from_weight(np.eye(2), np.zeros(2), RELU)])
+        net = Mlp([Layer(np.eye(2), np.zeros(2), RELU)])
         out = net.forward(np.array([-1.0, 2.0]))
         assert np.array_equal(out, [0.0, 2.0])
 
     def test_relu_idempotent_on_nonnegative(self):
-        net = Mlp([layer_from_weight(np.eye(3), np.zeros(3), RELU)])
+        net = Mlp([Layer(np.eye(3), np.zeros(3), RELU)])
         x = np.array([0.0, 1.5, 7.0])
         once = net.forward(x)
         twice = net.forward(once)
@@ -174,7 +174,7 @@ class TestBackward:
         assert np.all(gin == 0)
 
     def test_single_linear_layer_grads(self):
-        net = Mlp([layer_from_weight(np.array([[2.0]]), np.array([1.0]), LINEAR)])
+        net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]), LINEAR)])
         x = np.array([3.0])
         net.forward(x)
         net.backward(np.array([1.0]))
@@ -264,8 +264,8 @@ class TestBackward:
 
     def test_zero_pre_activation_gets_zero_gradient(self):
         # unit 0 sits exactly at the kink, unit 1 is active, unit 2 is off
-        net = Mlp([layer_from_weight(np.eye(3), np.array([0.0, 0.0, -1.0]), RELU),
-                   layer_from_weight(np.ones((1, 3)), np.zeros(1), LINEAR)])
+        net = Mlp([Layer(np.eye(3), np.array([0.0, 0.0, -1.0]), RELU),
+                   Layer(np.ones((3, 1)), np.zeros(1), LINEAR)])
         x = np.array([[0.0, 2.0, 0.5], [0.0, 1.0, 0.0]])
         g = np.ones((2, 1))
         net.forward(x)
@@ -284,7 +284,7 @@ class TestBackward:
             wt = rng.standard_normal((width, 1))
             gemm = g @ np.ascontiguousarray(wt.T)
             assert (g * wt[:, 0]).tobytes() == gemm.tobytes()
-            net = Mlp([layer_from_weight(wt.T, np.zeros(1), LINEAR)])
+            net = Mlp([Layer(wt, np.zeros(1), LINEAR)])
             net.forward(rng.random((rows, width)))
             assert net.input_grad(g).tobytes() == gemm.tobytes()
 
