@@ -8,6 +8,7 @@ the inflow is added, and flooding (spill) is checked last.
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,10 +22,10 @@ TERMINAL_PRICE_RULES = (LAST_WEEK_PRICE, MAX_PRICE)
 
 
 def require_finite(cfg, error=ValueError):
-    """Raise `error` if a float field of the dataclass `cfg` is NaN or infinite."""
+    """Raise `error` if a float field of the dataclass `cfg` is NaN, infinite or too large."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type is float and not math.isfinite(value):
+        if f.type is float and not -sys.float_info.max <= value <= sys.float_info.max:
             raise error(f"{f.name} must be finite, got {value!r}")
 
 

@@ -62,12 +62,21 @@ def _views(flat, shapes):
     return views
 
 
+def _rebind(net, state):
+    """__setstate__ of Mlp and PolicyNet: a deep copy or an unpickle gives each
+    view an array of its own, so bind the copy's views into its vectors again."""
+    net.__dict__.update(state)
+    net._bind(net.params, net.grads)
+
+
 class Mlp:
     """Fully connected stack; forward caches activations for one reverse pass.
 
     The layers' arrays are copied into one vector, `params`, in the order
     of parameters(); `grads` has the same layout.
     """
+
+    __setstate__ = _rebind
 
     def __init__(self, layers):
         if not layers:
@@ -151,10 +160,6 @@ class Mlp:
             out.append(layer.bias)
         return out
 
-    def copy(self):
-        # the new Mlp copies the arrays into a vector of its own
-        return Mlp([Layer(l.wt, l.bias, l.activation) for l in self.layers])
-
 
 def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
     """Build an Mlp with uniform init.
@@ -185,7 +190,7 @@ class RmspropState:
     """Squared-gradient accumulators for one network, in one flat vector.
 
     `params` are the network's parameter arrays in flat order. `arrays`
-    holds one view into `acc` per parameter array, shaped like it; a
+    gives one view into `acc` per parameter array, shaped like it; a
     checkpoint stores and loads the accumulators through these views.
     """
 
@@ -194,10 +199,14 @@ class RmspropState:
         self.eps = eps
         size = sum(p.size for p in params)
         self.acc = np.zeros(size)
-        self.arrays = _views(self.acc, [p.shape for p in params])
+        self.shapes = [p.shape for p in params]
         # scratch for rmsprop_step, so that a step allocates nothing
         self._t = np.empty(size)
         self._u = np.empty(size)
+
+    @property
+    def arrays(self):
+        return _views(self.acc, self.shapes)
 
     def load(self, accumulators):
         if len(accumulators) != len(self.arrays):
@@ -254,26 +263,29 @@ class PolicyNet:
     one vector, `params`, in the order of parameters(); `grads` likewise.
     """
 
+    __setstate__ = _rebind
+
     def __init__(self, trunk, mean_head, log_std_head,
                  log_std_min=LOG_STD_MIN, log_std_max=LOG_STD_MAX,
                  prob_floor=SQUASH_PROB_FLOOR):
         self.trunk = trunk
         self.mean_head = mean_head
         self.log_std_head = log_std_head
-        nets = (trunk, mean_head, log_std_head)
-        size = sum(net.params.size for net in nets)
-        self.params = np.empty(size)
-        self.grads = np.zeros(size)
-        shapes = [net.params.shape for net in nets]
-        for net, params, grads in zip(
-            nets, _views(self.params, shapes), _views(self.grads, shapes)
-        ):
-            net._bind(params, grads)
+        size = sum(net.params.size for net in (trunk, mean_head, log_std_head))
+        self._bind(np.empty(size), np.zeros(size))
         self.log_std_min = log_std_min
         self.log_std_max = log_std_max
         self.prob_floor = prob_floor
         self._sample_cache = None
         self._raw_log_std = None
+
+    def _bind(self, params, grads):
+        """Copy the trunk and heads into consecutive slices of `params` and bind them there."""
+        nets = (self.trunk, self.mean_head, self.log_std_head)
+        shapes = [net.params.shape for net in nets]
+        for net, p, g in zip(nets, _views(params, shapes), _views(grads, shapes)):
+            net._bind(p, g)
+        self.params, self.grads = params, grads
 
     @classmethod
     def init(cls, obs_dim, hidden_width, rng, head_bound=3e-3, **kwargs):

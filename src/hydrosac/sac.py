@@ -13,6 +13,7 @@ Acting is not done here: training, evaluation and planning wrap
 callable, which `trainer.play` calls once per week.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,7 @@ class AgentBundle:
         q1 = mlp_init([OBS_DIM + 1, w, w, w, 1], hidden3, rng, cfg.init_bound)
         q2 = mlp_init([OBS_DIM + 1, w, w, w, 1], hidden3, rng, cfg.init_bound)
         value = mlp_init([OBS_DIM, w, w, w, 1], hidden3, rng, cfg.init_bound)
-        value_target = value.copy()
+        value_target = copy.deepcopy(value)
         return cls(cfg, policy, q1, q2, value, value_target)
 
     def networks(self):

@@ -363,6 +363,13 @@ def save_pools(pools, path):
 def load_pools(path):
     doc = read_json(path)
     try:
+        # JSON numbers only: float() and numpy would take "0.5" or true for one
+        if type(doc["price_max"]) not in (int, float):
+            raise ValueError("price_max must be a number")
+        for name in (PRICE, INFLOW):
+            for w, pool in enumerate(doc[f"{name}_pool"], start=1):
+                if not isinstance(pool, list) or not {*map(type, pool)} <= {int, float}:
+                    raise ValueError(f"{name} pool for week {w} must be a flat list of numbers")
         pools = ScenarioPools(
             price_pool=[np.asarray(p, dtype=float) for p in doc["price_pool"]],
             inflow_pool=[np.asarray(p, dtype=float) for p in doc["inflow_pool"]],
@@ -370,7 +377,7 @@ def load_pools(path):
             mode=str(doc["mode"]),
             provenance=str(doc.get("provenance", "")),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, OverflowError, TypeError, ValueError) as e:  # Overflow: a huge int
         raise DataError(f"{path}: malformed pools file ({e})") from None
     pools.validate()
     return pools

@@ -303,12 +303,13 @@ def _float_list_json(a):
     """The JSON list of repr(float(x)) strings of `a`'s elements in C order.
 
     Each distinct 64-bit pattern is formatted once, so -0.0 stays apart
-    from 0.0, and the list goes through json's C encoder in one call.
+    from 0.0. A float's repr needs no JSON escaping, so the strings are
+    joined directly, into the text json.dumps would give.
     """
     bits = np.ascontiguousarray(a, dtype=float).ravel().view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return json.dumps(texts[inverse].tolist())
+    return '["' + '", "'.join(texts[inverse].tolist()) + '"]' if bits.size else "[]"
 
 
 def _write_json(obj, fh):

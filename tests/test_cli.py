@@ -401,6 +401,10 @@ def echo_alpha_nan(doc):
     doc["config"]["agent"]["alpha"] = float("nan")  # json writes NaN, which json reads back
 
 
+def echo_k_price_huge_int(doc):
+    doc["config"]["env"]["k_price"] = 10**400
+
+
 def nan_policy_weight(doc):
     doc["networks"]["policy_mean_head"][0]["weights"][3] = "nan"
 
@@ -530,6 +534,7 @@ def unknown_optimizer(doc):
     (echo_f_max_zero, "f_max must be in (0, 1]"),
     (echo_f_max_text, "f_max must be float, got 'abc'"),
     (echo_alpha_nan, "alpha must be finite, got nan"),
+    (echo_k_price_huge_int, "k_price must be finite, got 1000"),
     (nan_policy_weight, "network policy holds a non-finite value"),
     (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
     (no_value_target_network, "'value_target'"),
@@ -756,20 +761,46 @@ def test_checkpoint_values_are_what_float_reads(tmp_path, replay_ckpt_file):
     assert run(["inspect", "--checkpoint", str(path)]) == 0
 
 
-@pytest.mark.parametrize("pool, week, replace, message", [
+def week_pool(pool, week, replace):
+    """A tamper that replaces one week pool of a decoded pools file with replace(old)."""
+    def tamper(doc):
+        doc[pool][week] = replace(doc[pool][week])
+    return tamper
+
+
+def set_price_max(value):
+    return lambda doc: doc.update(price_max=value)
+
+
+@pytest.mark.parametrize("tamper, message", [
     # json writes NaN, which json reads back
-    ("price_pool", 20, lambda old: [float("nan")] + old[1:],
+    (week_pool("price_pool", 20, lambda old: [float("nan")] + old[1:]),
      "price pool for week 21 has values outside [0, 1] or NaN"),
-    ("inflow_pool", 20, lambda old: [float("nan")] + old[1:],
+    (week_pool("inflow_pool", 20, lambda old: [float("nan")] + old[1:]),
      "inflow pool for week 21 has values outside [0, 1] or NaN"),
-    ("price_pool", 0, lambda old: [old], "price pool for week 1 must be a flat list of numbers"),
-    ("price_pool", 0, lambda old: old[0], "price pool for week 1 must be a flat list of numbers"),
-], ids=["price_pool", "inflow_pool", "nested_week_pool", "scalar_week_pool"])
-def test_nan_in_pools_file_exit_4(pool, week, replace, message, tmp_path, trained_files, pools_file,
-                                  capsys):
+    (week_pool("price_pool", 0, lambda old: [old]),
+     "price pool for week 1 must be a flat list of numbers"),
+    (week_pool("price_pool", 0, lambda old: old[0]),
+     "price pool for week 1 must be a flat list of numbers"),
+    # float() and numpy would read these as 0.5, 0.5 and 1.0
+    (week_pool("price_pool", 3, lambda old: ["0.5"] + old[1:]),
+     "price pool for week 4 must be a flat list of numbers"),
+    (week_pool("inflow_pool", 3, lambda old: old[:-1] + [" 0.5 "]),
+     "inflow pool for week 4 must be a flat list of numbers"),
+    (week_pool("inflow_pool", 51, lambda old: [True] + old[1:]),
+     "inflow pool for week 52 must be a flat list of numbers"),
+    (week_pool("price_pool", 7, lambda old: [10**400] + old[1:]),
+     "pools.json: malformed pools file (int too large to convert to float)"),
+    (set_price_max(10**400),
+     "pools.json: malformed pools file (int too large to convert to float)"),
+    (set_price_max("1.0"), "pools.json: malformed pools file (price_max must be a number)"),
+], ids=["price_pool", "inflow_pool", "nested_week_pool", "scalar_week_pool",
+        "string_in_week_pool", "padded_string_in_week_pool", "bool_in_week_pool",
+        "huge_int_in_week_pool", "huge_int_price_max", "string_price_max"])
+def test_nan_in_pools_file_exit_4(tamper, message, tmp_path, trained_files, pools_file, capsys):
     ckpt, _ = trained_files
     doc = json.loads(pools_file.read_text())
-    doc[pool][week] = replace(doc[pool][week])
+    tamper(doc)
     bad = tmp_path / "pools.json"
     bad.write_text(json.dumps(doc))
     common = ["--pools", str(bad), "--seed", "1"]
@@ -959,6 +990,12 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("train", ["--pools", "{pools}", "--r-max", "inf"], None, None, 2,
      "r_max must be finite, got inf"),
     ("train", ["--annual-inflow", "inf"], None, None, 2, "annual_inflow must be finite, got inf"),
+    # too large for a float, so not finite either
+    ("train", [], {"env": {"k_price": 10**400}}, None, 2, "k_price must be finite, got 1000"),
+    ("train", [], {"train": {"agent": {"alpha": -10**400}}}, None, 2,
+     "alpha must be finite, got -1000"),
+    ("gen-scenarios", [], {"artificial": {"price_low": 10**400}}, None, 2,
+     "price_low must be finite, got 1000"),
     ("plan", ["--config", "{missing}"], None, None, 2, "config file not found"),
     ("plan", ["--scenario", "{scenario}", "--config", "{missing}"], None, None, 2,
      "config file not found"),
@@ -971,6 +1008,7 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
     "train_k_price_nan", "train_q_price_inf", "train_alpha_nan", "train_lr_policy_nan",
     "file_lr_q_inf", "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
+    "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
     "plan_config_missing", "plan_scenario_config_missing", "plan_config_corrupt",
     "plan_scenario_config_corrupt",
 ])

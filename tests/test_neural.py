@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -108,8 +110,10 @@ class TestFlatParameters:
 
     def test_copy_owns_its_vector(self):
         net = mlp_init([3, 4, 2], [RELU, LINEAR], np.random.default_rng(0))
-        twin = net.copy()
+        twin = copy.deepcopy(net)
         assert np.array_equal(twin.params, net.params)
+        for layer in twin.layers:
+            assert np.shares_memory(layer.wt, twin.params)
         twin.params += 1.0
         assert not np.shares_memory(twin.params, net.params)
         assert not np.array_equal(twin.params, net.params)

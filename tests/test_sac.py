@@ -326,6 +326,35 @@ class TestUpdate:
         with pytest.raises(TrainingAborted):
             update(agent, batch, np.random.default_rng(7))
 
+    def test_deep_copy_trains_like_the_original(self):
+        """A deep copy binds its layer and accumulator views into vectors of its own,
+        so an update steps the weights its forward reads, as on the original."""
+        agent = small_agent(seed=15)
+        update(agent, batch_of([transition() for _ in range(4)]), np.random.default_rng(9))
+        clone = copy.deepcopy(agent)
+        for net in clone.networks().values():
+            for layer in net.layers:
+                assert np.shares_memory(layer.wt, net.params)
+                assert np.shares_memory(layer.bias, net.params)
+        for head in (clone.policy.trunk, clone.policy.mean_head, clone.policy.log_std_head):
+            assert np.shares_memory(head.params, clone.policy.params)
+        for opt in clone.optimizers().values():
+            for acc in opt.arrays:
+                assert np.shares_memory(acc, opt.acc)
+        assert not np.shares_memory(clone.q1.params, agent.q1.params)
+        rng = np.random.default_rng(10)
+        batch = (rng.random((16, 5)), rng.uniform(0.01, 0.99, 16), rng.uniform(-50, 600, 16),
+                 rng.random((16, 5)), np.zeros(16))
+        rng_agent, rng_clone = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            assert update(agent, batch, rng_agent) == update(clone, batch, rng_clone)
+        bits = lambda a: a.view(np.int64)
+        for name, net in agent.networks().items():
+            assert np.array_equal(bits(net.params), bits(clone.networks()[name].params)), name
+        for name, opt in agent.optimizers().items():
+            assert np.array_equal(bits(opt.acc), bits(clone.optimizers()[name].acc)), name
+        assert agent.policy.mean_action(OBS) == clone.policy.mean_action(OBS)
+
     def test_report_fields(self):
         agent = small_agent(seed=14)
         report = update(

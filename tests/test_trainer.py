@@ -387,6 +387,22 @@ class TestCheckpointRoundTrip:
         for obs in np.random.default_rng(0).random((10, 5)):
             assert saved.agent.policy.mean_action(obs) == loaded.agent.policy.mean_action(obs)
 
+    def test_save_memory_bounded_by_file_size(self, pools, tmp_path):
+        """A save formats and writes one array at a time, so it never holds the document's
+        floats as strings: that takes about 3.6 times the file's size on this checkpoint,
+        one array at a time about 1.7 times (2.9 while json.dumps encoded each list)."""
+        cfg = small_cfg(total_weeks=2080, exploration_weeks=2080, include_replay_in_checkpoint=True,
+                        agent=SacConfig(hidden_width=8))
+        ckpt = train(cfg, pools)[0]
+        path = tmp_path / "ck.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(ckpt, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
+
     def test_load_memory_bounded_by_file_size(self, pools, tmp_path):
         """A load decodes each array as it is parsed, so the document never holds all
         its floats as strings: the peak is about the file text and one array's strings."""
