@@ -5,9 +5,10 @@ flag sets one config field; values merge with precedence CLI flag >
 --config file > built-in default and are type-checked against the config
 dataclasses (an int is fine for a float field). The environment variable
 HYDROSAC_SEED supplies the seed when nothing else does. Exit codes: 0
-success, 2 usage or input error (bad settings included), 3 training aborted
-on a non-finite loss, 4 an input file that does not decode or validate
-(any DataError; a CheckpointError is one).
+success, 2 a bad setting or a file that cannot be read or written (any
+UsageError or OSError), 3 training aborted on a non-finite loss, 4 an input
+file that does not decode or validate (any DataError; a CheckpointError is
+one). Only main turns an exception into an exit code.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import scenario as sc
 from . import trainer as tr
-from .env import LAST_WEEK_PRICE, MAX_PRICE
+from .env import LAST_WEEK_PRICE, MAX_PRICE, UsageError
 from .sac import TrainingAborted
 from .scenario import ArtificialConfig, DataError
 from .trainer import TrainConfig
@@ -33,29 +34,23 @@ EXIT_CORRUPT = 4
 PLAN_HEADER = "week,price,inflow,action,release_volume_Mm3,storage,spill,reward"
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_config_file(path):
     try:
         doc = sc.read_json(path)
     except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
+        raise UsageError(f"config file not found: {path}")
     if not isinstance(doc, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(doc) - {"train", "env", "artificial"})
     if unknown:
-        raise CliError(f"unknown sections {unknown} in config file {path}")
+        raise UsageError(f"unknown sections {unknown} in config file {path}")
     return doc
 
 
 def _section(doc, name, path):
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise CliError(f"bad config file {path}: section '{name}' must be a JSON object")
+        raise UsageError(f"bad config file {path}: section '{name}' must be a JSON object")
     return dict(section)
 
 
@@ -70,7 +65,7 @@ def _settings(args):
     doc = _load_config_file(path) if path else {}
     train = _section(doc, "train", path)
     if "env" in train:
-        raise CliError("put the environment section at the top level ('env'), not inside 'train'")
+        raise UsageError("put the environment section at the top level ('env'), not inside 'train'")
     sections = {
         "train": train,
         "agent": _section(train, "agent", path),
@@ -89,7 +84,7 @@ def _settings(args):
         )
         artificial = tr.config_from_dict(ArtificialConfig, sections["artificial"], "artificial")
     except ValueError as e:  # flags are typed by argparse, so the file is at fault
-        raise CliError(f"bad config file {path}: {e}")
+        raise UsageError(f"bad config file {path}: {e}")
     return cfg, artificial, {name: set(section) for name, section in sections.items()}
 
 
@@ -100,17 +95,10 @@ def _seed(value):
         try:
             value = int(env)
         except ValueError:
-            raise CliError(f"HYDROSAC_SEED must be an integer, got {env!r}")
+            raise UsageError(f"HYDROSAC_SEED must be an integer, got {env!r}")
     if value < 0:
-        raise CliError(f"seed must be >= 0, got {value}")
+        raise UsageError(f"seed must be >= 0, got {value}")
     return value
-
-
-def _artificial_pools(artificial, seed, mode=sc.ARTIFICIAL):
-    try:
-        return sc.generate_artificial_pools(artificial, seed, mode=mode)
-    except DataError as e:  # pools built here can only be bad through their settings
-        raise CliError(f"bad artificial settings: {e}")
 
 
 def _get_pools(args, artificial_cfg, seed):
@@ -119,8 +107,8 @@ def _get_pools(args, artificial_cfg, seed):
         try:
             return sc.load_pools(args.pools)
         except FileNotFoundError:
-            raise CliError(f"pools file not found: {args.pools}")
-    return _artificial_pools(artificial_cfg, seed)
+            raise UsageError(f"pools file not found: {args.pools}")
+    return sc.generate_artificial_pools(artificial_cfg, seed)
 
 
 def _setting(p, flag, dest, **kwargs):
@@ -222,26 +210,27 @@ def build_parser():
 
 def cmd_gen_scenarios(args):
     _, artificial, _ = _settings(args)
+    artificial.validate()  # so that each mode rejects a bad setting with exit 2
     seed = _seed(args.seed)
     if args.mode == sc.ARTIFICIAL:
-        pools = _artificial_pools(artificial, seed)
+        pools = sc.generate_artificial_pools(artificial, seed)
     elif args.synthetic_historic:
         wide = dataclasses.replace(
             artificial,
             price_noise=max(artificial.price_noise, 0.5),
             inflow_noise=max(artificial.inflow_noise, 0.8),
         )
-        pools = _artificial_pools(wide, seed, mode=sc.HISTORIC)
+        pools = sc.generate_artificial_pools(wide, seed, mode=sc.HISTORIC)
     else:
         if not args.prices or not args.inflows:
-            raise CliError(
+            raise UsageError(
                 "historic mode needs --prices and --inflows (or --synthetic-historic)"
             )
         try:
             price_series = [sc.load_csv_series(f, sc.PRICE) for f in args.prices]
             inflow_series = [sc.load_csv_series(f, sc.INFLOW) for f in args.inflows]
         except FileNotFoundError as e:
-            raise CliError(f"input file not found: {e.filename}")
+            raise UsageError(f"input file not found: {e.filename}")
         pools = sc.build_pools(price_series, inflow_series, artificial.r_max)
     sc.save_pools(pools, args.out)
     for w in range(sc.WEEKS):
@@ -267,10 +256,6 @@ def cmd_train(args):
             cfg.env.terminal_price_rule = MAX_PRICE
     cfg.exploration_weeks = min(cfg.exploration_weeks, cfg.total_weeks)
     try:
-        cfg.validate()
-    except ValueError as e:
-        raise CliError(str(e))
-    try:
         ckpt, records = tr.train(cfg, pools, checkpoint_path=args.out)
     except TrainingAborted as e:
         if e.records is not None:
@@ -291,7 +276,7 @@ def _load_checkpoint_or_die(path):
     try:
         return tr.load_checkpoint(path)
     except FileNotFoundError:
-        raise CliError(f"checkpoint not found: {path}")
+        raise UsageError(f"checkpoint not found: {path}")
 
 
 def _warn_env_mismatch(args, ckpt):
@@ -314,8 +299,6 @@ def cmd_evaluate(args):
     _, artificial, _ = _settings(args)
     seed = _seed(args.seed)
     pools = _get_pools(args, artificial, seed)
-    if args.episodes < 1:
-        raise CliError("--episodes must be >= 1")
     report = tr.evaluate(ckpt, pools, args.episodes, args.deterministic, seed)
     tr.write_eval_csv(report, args.out)
     totals = report.total_rewards()
@@ -336,7 +319,7 @@ def cmd_plan(args):
         try:
             scn = sc.load_scenario_csv(args.scenario)
         except FileNotFoundError:
-            raise CliError(f"scenario file not found: {args.scenario}")
+            raise UsageError(f"scenario file not found: {args.scenario}")
     else:
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
@@ -402,13 +385,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CORRUPT
-    except OSError as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

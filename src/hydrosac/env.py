@@ -21,12 +21,16 @@ MAX_PRICE = "max_price"
 TERMINAL_PRICE_RULES = (LAST_WEEK_PRICE, MAX_PRICE)
 
 
-def require_finite(cfg, error=ValueError):
-    """Raise `error` if a float field of the dataclass `cfg` is NaN, infinite or too large."""
+class UsageError(ValueError):
+    """Raised for a bad setting: a config field, flag or argument out of range."""
+
+
+def require_finite(cfg):
+    """Raise UsageError if a float field of the dataclass `cfg` is NaN, infinite or too large."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type is float and not -sys.float_info.max <= value <= sys.float_info.max:
-            raise error(f"{f.name} must be finite, got {value!r}")
+            raise UsageError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -44,17 +48,17 @@ class EnvConfig:
     def validate(self):
         require_finite(self)
         if not 0.0 < self.f_max <= 1.0:
-            raise ValueError("f_max must be in (0, 1]")
+            raise UsageError("f_max must be in (0, 1]")
         if not 0.0 <= self.init_low <= self.init_high <= 1.0:
-            raise ValueError("init bounds must satisfy 0 <= low <= high <= 1")
+            raise UsageError("init bounds must satisfy 0 <= low <= high <= 1")
         if not 0.0 <= self.terminal_low <= self.terminal_high <= 1.0:
-            raise ValueError("terminal bounds must satisfy 0 <= low <= high <= 1")
+            raise UsageError("terminal bounds must satisfy 0 <= low <= high <= 1")
         if self.r_max <= 0.0:
-            raise ValueError("r_max must be > 0")
+            raise UsageError("r_max must be > 0")
         if self.q_price <= 0.0:
-            raise ValueError("q_price must be > 0")
+            raise UsageError("q_price must be > 0")
         if self.terminal_price_rule not in TERMINAL_PRICE_RULES:
-            raise ValueError(f"terminal_price_rule must be one of {TERMINAL_PRICE_RULES}")
+            raise UsageError(f"terminal_price_rule must be one of {TERMINAL_PRICE_RULES}")
 
 
 @dataclass

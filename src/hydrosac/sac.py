@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .env import require_finite
+from .env import UsageError, require_finite
 from .neural import (
     LINEAR,
     RELU,
@@ -117,13 +117,13 @@ class SacConfig:
     def validate(self):
         require_finite(self)
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise UsageError("alpha must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
+            raise UsageError("gamma must be in [0, 1]")
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
+            raise UsageError("tau must be in (0, 1]")
         if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
+            raise UsageError("hidden_width must be >= 1")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import WEEKS, require_finite
+from .env import WEEKS, UsageError, require_finite
 
 PRICE = "price"
 INFLOW = "inflow"
@@ -64,6 +64,8 @@ class ScenarioPools:
     def validate(self):
         if self.mode not in (ARTIFICIAL, HISTORIC):
             raise DataError(f"unknown pools mode {self.mode!r}")
+        if not 0 < self.price_max < np.inf:  # NaN fails too
+            raise DataError(f"price_max must be finite and > 0, got {self.price_max!r}")
         for name, pools in ((PRICE, self.price_pool), (INFLOW, self.inflow_pool)):
             if len(pools) != WEEKS:
                 raise DataError(f"{name} pool must have {WEEKS} weeks")
@@ -96,15 +98,15 @@ class ArtificialConfig:
     r_max: float = 1000.0  # Mm3
 
     def validate(self):
-        require_finite(self, DataError)
+        require_finite(self)
         if self.samples_per_week < 1:
-            raise DataError("samples_per_week must be >= 1")
+            raise UsageError("samples_per_week must be >= 1")
         if self.price_noise < 0 or self.inflow_noise < 0:
-            raise DataError("noise levels must be >= 0")
+            raise UsageError("noise levels must be >= 0")
         if self.price_high <= 0 or self.price_low < 0:
-            raise DataError("price levels must be positive")
+            raise UsageError("price levels must be positive")
         if self.annual_inflow < 0 or self.r_max <= 0:
-            raise DataError("annual_inflow must be >= 0 and r_max > 0")
+            raise UsageError("annual_inflow must be >= 0 and r_max > 0")
 
 
 def load_csv_series(path, kind):
@@ -142,8 +144,9 @@ def load_scenario_csv(path):
     rows = []
     for lineno, row in read_csv(path, "week,price,inflow"):
         try:
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-        except (ValueError, IndexError):
+            week, price, inflow = row
+            rows.append((int(week), float(price), float(inflow)))
+        except ValueError:  # also a row of other than three fields
             raise DataError(f"{path}: malformed row at line {lineno}") from None
     rows.sort()
     if [r[0] for r in rows] != list(range(1, WEEKS + 1)):

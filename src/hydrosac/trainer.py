@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import EnvConfig, observe, reset, step
+from .env import EnvConfig, UsageError, observe, reset, step
 from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
                   TrainingAborted, update)
 from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario
@@ -51,13 +51,13 @@ class TrainConfig:
 
     def validate(self):
         if self.total_weeks < 0 or self.exploration_weeks < 0:
-            raise ValueError("week counts must be >= 0")
+            raise UsageError("week counts must be >= 0")
         if self.exploration_weeks > self.total_weeks:
-            raise ValueError("exploration_weeks must be <= total_weeks")
+            raise UsageError("exploration_weeks must be <= total_weeks")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise UsageError("seed must be >= 0")
         self.env.validate()
         self.agent.validate()
 
@@ -278,7 +278,7 @@ def evaluate(ckpt, pools, n_episodes, deterministic, seed):
     actions are sampled with the per-episode generator.
     """
     if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
+        raise UsageError("n_episodes must be >= 1")
     agent = ckpt.agent
     if deterministic:
         action_fn = lambda obs, rng: agent.policy.mean_action(obs)

@@ -94,6 +94,20 @@ class TestGenScenarios:
         assert all(len(p) == 4 for p in doc["inflow_pool"])
         assert all(len(p) == 2 for p in doc["price_pool"])
 
+    @pytest.mark.parametrize("r_max, message", [
+        ("0", "annual_inflow must be >= 0 and r_max > 0"),
+        ("nan", "r_max must be finite, got nan"),
+    ], ids=["zero", "nan"])
+    def test_historic_bad_r_max_exit_2(self, r_max, message, tmp_path, capsys):
+        prices, inflows = historic_csvs(tmp_path, n_inflows=1)
+        out = tmp_path / "hist.json"
+        assert run([
+            "gen-scenarios", "--mode", "historic", "--prices", str(prices),
+            "--inflows", *[str(f) for f in inflows], "--r-max", r_max, "--out", str(out),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_historic_requires_inputs(self, tmp_path):
         code = run([
             "gen-scenarios", "--mode", "historic", "--out", str(tmp_path / "x.json")
@@ -327,7 +341,8 @@ class TestPlan:
     @pytest.mark.parametrize("rows", [
         [f"{w},0.5,0.01" for w in range(1, 52)],
         [f"{w},{'nan' if w == 30 else 0.5},0.01" for w in range(1, 53)],
-    ], ids=["51_weeks", "nan_price"])
+        [f"{w},0.5,0.01,9" for w in range(1, 53)],
+    ], ids=["51_weeks", "nan_price", "extra_field"])
     def test_short_scenario_rejected(self, rows, tmp_path, trained_files):
         ckpt, _ = trained_files
         scn = tmp_path / "scn.csv"
@@ -794,9 +809,14 @@ def set_price_max(value):
     (set_price_max(10**400),
      "pools.json: malformed pools file (int too large to convert to float)"),
     (set_price_max("1.0"), "pools.json: malformed pools file (price_max must be a number)"),
+    (set_price_max(-5), "price_max must be finite and > 0, got -5.0"),
+    (set_price_max(0), "price_max must be finite and > 0, got 0.0"),
+    (set_price_max(float("nan")), "price_max must be finite and > 0, got nan"),
+    (set_price_max(float("inf")), "price_max must be finite and > 0, got inf"),
 ], ids=["price_pool", "inflow_pool", "nested_week_pool", "scalar_week_pool",
         "string_in_week_pool", "padded_string_in_week_pool", "bool_in_week_pool",
-        "huge_int_in_week_pool", "huge_int_price_max", "string_price_max"])
+        "huge_int_in_week_pool", "huge_int_price_max", "string_price_max",
+        "negative_price_max", "zero_price_max", "nan_price_max", "inf_price_max"])
 def test_nan_in_pools_file_exit_4(tamper, message, tmp_path, trained_files, pools_file, capsys):
     ckpt, _ = trained_files
     doc = json.loads(pools_file.read_text())

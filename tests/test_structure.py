@@ -1,8 +1,10 @@
-"""Every JSON and CSV input is decoded by one reader per format.
+"""Checks of the source for where inputs are decoded and exit codes decided.
 
 `scenario.read_json` and `scenario.read_csv` map a file that does not
 decode to the error that the CLI turns into exit 4. A decoder called
-anywhere else would skip that mapping, so this checks the source for it.
+anywhere else would skip that mapping. And `cli.main` alone turns a
+DataError into exit 4 and a UsageError or OSError into exit 2; a handler
+elsewhere in cli.py that caught one could give it another code.
 """
 
 import ast
@@ -36,3 +38,33 @@ def test_inputs_are_decoded_only_by_the_shared_readers():
                 assert not names & DECODERS, f"{path.name} imports a decoder by name"
         calls |= {(path.stem, function, call) for function, call in decoder_calls(tree)}
     assert calls == {("scenario", "read_json", "json.load"), ("scenario", "read_csv", "csv.reader")}
+
+
+# Outside main, each handler in cli.py may catch only these, in these functions.
+CLI_HANDLERS = {
+    "FileNotFoundError": {"_load_config_file", "_get_pools", "cmd_gen_scenarios",
+                          "_load_checkpoint_or_die", "cmd_plan"},  # name the missing file
+    "ValueError": {"_settings", "_seed"},
+    "TrainingAborted": {"cmd_train"},
+}
+
+
+def handlers(tree):
+    """Yield (enclosing function, caught name) for each except clause in `tree`."""
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.ExceptHandler):
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    for t in types:
+                        yield function.name, ast.unparse(t) if t else "<bare>"
+
+
+def test_only_main_turns_failures_into_exit_codes():
+    path = Path(hydrosac.__file__).parent / "cli.py"
+    caught = set(handlers(ast.parse(path.read_text(), filename=str(path))))
+    stray = {(function, name) for function, name in caught
+             if function != "main" and function not in CLI_HANDLERS.get(name, ())}
+    assert not stray, f"handlers outside cli.main: {sorted(stray)}"
+    assert {name for function, name in caught if function == "main"} == {
+        "DataError", "UsageError", "OSError"}
