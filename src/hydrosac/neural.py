@@ -167,7 +167,9 @@ def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
     Hidden layers draw from U[-1/sqrt(fan_in), 1/sqrt(fan_in)]; the final
     layer from U[-final_layer_bound, final_layer_bound]. Pass
     final_layer_bound=None to use fan-in scaling everywhere (used for the
-    policy trunk, which has no output layer of its own).
+    policy trunk, which has no output layer of its own). With rng None
+    every weight and bias is 0 and nothing is drawn: for an Mlp whose
+    arrays are about to be overwritten, as a checkpoint load does.
     """
     if len(widths) < 2 or any(w <= 0 for w in widths):
         raise ValueError("widths must have >= 2 positive entries")
@@ -180,8 +182,11 @@ def mlp_init(widths, activations, rng, final_layer_bound=3e-3):
             bound = final_layer_bound
         else:
             bound = 1.0 / np.sqrt(fan_in)
-        wt = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        bias = rng.uniform(-bound, bound, size=fan_out)
+        if rng is None:
+            wt, bias = np.zeros((fan_in, fan_out)), np.zeros(fan_out)
+        else:
+            wt = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            bias = rng.uniform(-bound, bound, size=fan_out)
         layers.append(Layer(wt, bias, activations[k]))
     return Mlp(layers)
 
@@ -304,12 +309,13 @@ class PolicyNet:
         h = self.trunk.forward(obs[None, :] if single else obs)
         mean = self.mean_head.forward(h)[:, 0]
         raw = self.log_std_head.forward(h)[:, 0]
-        # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost
-        log_std = np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
         self._raw_log_std = raw
         if single:
-            return float(mean[0]), float(log_std[0])
-        return mean, log_std
+            # one row: the elementwise math runs on floats, with the same bits
+            raw = float(raw[0])
+            return float(mean[0]), min(max(raw, self.log_std_min), self.log_std_max)
+        # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost
+        return mean, np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
 
     def sample(self, obs, rng):
         """Reparameterized draw: (action, log_prob, pre_squash).
@@ -318,14 +324,13 @@ class PolicyNet:
         the Gaussian density of the pre-squash value corrected for the
         sigmoid change of variables (with the probability floor).
         """
-        obs = np.asarray(obs, dtype=float)
-        single = obs.ndim == 1
-        mean, log_std = self.forward(obs[None, :] if single else obs)
-        noise = rng.standard_normal(mean.shape[0])
+        mean, log_std = self.forward(obs)
+        single = isinstance(mean, float)
+        noise = rng.standard_normal(1)[0] if single else rng.standard_normal(mean.shape[0])
         action, log_prob, z = K.squash_sample(mean, log_std, noise, self.prob_floor)
         self._sample_cache = (action, np.exp(log_std), noise)
         if single:
-            return float(action[0]), float(log_prob[0]), float(z[0])
+            return float(action), float(log_prob), float(z)
         return action, log_prob, z
 
     def mean_action(self, obs):
@@ -338,8 +343,8 @@ class PolicyNet:
         obs = np.asarray(obs, dtype=float)
         single = obs.ndim == 1
         h = self.trunk.forward(obs[None, :] if single else obs)
-        action = K._sigmoid(self.mean_head.forward(h)[:, 0])
-        return float(action[0]) if single else action
+        mean = self.mean_head.forward(h)[:, 0]
+        return K._sigmoid(float(mean[0]) if single else mean)
 
     def backward_heads(self, g_mean, g_log_std):
         """Backprop given gradients on the two head outputs; fills `grads`."""

@@ -164,7 +164,10 @@ class AgentBundle:
 
     @classmethod
     def init(cls, cfg, rng):
-        """Fresh networks; the target value net starts as a copy of the value net."""
+        """Fresh networks; the target value net starts as a copy of the value net.
+
+        With rng None every weight is 0 and nothing is drawn (see mlp_init).
+        """
         cfg.validate()
         w = cfg.hidden_width
         policy = PolicyNet.init(

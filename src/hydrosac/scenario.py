@@ -113,14 +113,12 @@ def load_csv_series(path, kind):
     """Read a `year,week,value` CSV into a RawSeries.
 
     Rejects the whole file on the first malformed row, reporting its line
-    number (line 1 is the header). Blank and whitespace-only lines are skipped.
+    number (line 1 is the header). Blank lines are skipped (see read_csv).
     """
     if kind not in KINDS:
         raise DataError(f"unknown series kind {kind!r}")
     points = []
     for lineno, row in read_csv(path, "year,week,value"):
-        if len(row) == 1 and not row[0].strip():
-            continue
         if len(row) != 3:
             raise DataError(f"{path}: malformed row at line {lineno}")
         try:
@@ -307,9 +305,10 @@ def read_json(path, error=DataError, object_pairs_hook=None):
 
 
 def read_csv(path, header):
-    """Yield (line number, fields) per non-empty row of the CSV file at `path`.
+    """Yield (line number, fields) per row of the CSV file at `path` with a non-blank field.
 
-    Every CSV input is read here. Line 1 must be `header`, such as
+    Every CSV input is read here, so every reader skips blank and
+    whitespace-only lines alike. Line 1 must be `header`, such as
     "year,week,value" (case and spaces around a name aside). Non-UTF-8
     text and what the csv module rejects (a field over 131,072 characters)
     raise DataError naming `path`; a missing or unreadable file raises OSError.
@@ -321,7 +320,7 @@ def read_csv(path, header):
             if first is None or [c.strip().lower() for c in first] != header.split(","):
                 raise DataError(f"{path}: expected header '{header}'")
             for lineno, row in enumerate(rows, start=2):
-                if row:
+                if any(field.strip() for field in row):
                     yield lineno, row
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"{path}: not a readable UTF-8 CSV file ({e})") from None

@@ -437,7 +437,7 @@ def load_checkpoint(path):
                      for layers in doc["networks"].values() for layer in layers)
         if w * w > stored:
             raise ValueError(f"hidden_width {w} needs {w * w} or more network values, not {stored}")
-        agent = AgentBundle.init(config.agent, np.random.default_rng(0))
+        agent = AgentBundle.init(config.agent, None)  # allocated only: the file fills it
         for name, net in agent.networks().items():
             _load_network(net, name, doc["networks"][name])
         for name, opt in agent.optimizers().items():

@@ -683,6 +683,20 @@ def test_non_utf8_input_exit_4(command, content, tmp_path, trained_files, capsys
     assert err.startswith("error: ") and str(bad) in err
 
 
+@pytest.mark.parametrize("command", ["plan-scenario", "gen-scenarios-prices"])
+def test_whitespace_only_line_skipped_by_every_csv_reader(command, tmp_path, trained_files,
+                                                          scenario_file):
+    _, argv = INPUT_ARGVS[command]
+    prices, inflows = historic_csvs(tmp_path, n_inflows=1)
+    good = scenario_file if command == "plan-scenario" else prices
+    bad = tmp_path / "trailing_blank.csv"
+    bad.write_text(good.read_text() + "   \n")
+    out = tmp_path / "out"
+    names = {"bad": bad, "out": out, "ckpt": trained_files[0], "inflows": inflows[0]}
+    assert run([a.format(**names) for a in argv]) == 0
+    assert out.exists()
+
+
 @pytest.fixture(scope="module")
 def replay_ckpt_file(tmp_path_factory, pools_file):
     d = tmp_path_factory.mktemp("replay")

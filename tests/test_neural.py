@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hydrosac import neural
@@ -518,6 +520,50 @@ class TestSigmoidAndMeanAction:
         assert np.array_equal(bits(pol.mean_action(obs)), bits(expected))
         if batch == 1:
             assert bits(pol.mean_action(obs[0])) == bits(expected[0])
+
+    def test_float_path_has_the_array_bits(self):
+        floats = [_sigmoid(float(z)) for z in SIGMOID_GRID]
+        assert np.array_equal(bits(floats), bits(_sigmoid(SIGMOID_GRID)))
+
+    def test_float_path_raises_what_the_array_path_raises(self):
+        def error(z):
+            try:
+                with np.errstate(all="raise"):
+                    _sigmoid(z)
+            except FloatingPointError as e:
+                return str(e)
+
+        errors = [(error(float(z)), error(SIGMOID_GRID[i:i + 1]))
+                  for i, z in enumerate(SIGMOID_GRID)]
+        assert all(f == a for f, a in errors)
+        assert any(f is not None for f, _ in errors)  # exp underflows past |z| ~ 708
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(LOG_STD_MIN, LOG_STD_MAX),
+                              st.floats(-10.0, 10.0)), min_size=1, max_size=8))
+    def test_squash_sample_on_floats_has_the_array_bits(self, rows):
+        mean, log_std, noise = map(np.array, zip(*rows))
+        arrays = squash_sample(mean, log_std, noise, neural.SQUASH_PROB_FLOOR)
+        for i, row in enumerate(rows):
+            floats = squash_sample(*row, neural.SQUASH_PROB_FLOOR)
+            assert [int(bits(f)) for f in floats] == [int(bits(a[i])) for a in arrays]
+
+    def test_batch_one_sample_is_row_zero_of_the_batch(self):
+        # a wide head scale clamps the log-std below, above and not at all
+        pol = PolicyNet.init(5, 8, np.random.default_rng(33), head_bound=2.0)
+        observations = np.random.default_rng(34).standard_normal((40, 5)) * 30.0
+        g_action, g_log_prob = np.array([0.7]), np.array([-0.2])
+        for seed, obs in enumerate(observations):
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            one = pol.sample(obs, r1)
+            pol.backward_sample(g_action, g_log_prob)
+            grads = pol.grads.copy()
+            rows = pol.sample(obs[None], r2)
+            pol.backward_sample(g_action, g_log_prob)
+            assert all(type(v) is float for v in one)
+            assert [int(bits(v)) for v in one] == [int(bits(a[0])) for a in rows]
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert np.array_equal(bits(grads), bits(pol.grads))
 
 
 class TestPolicyGradients:

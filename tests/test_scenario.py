@@ -36,6 +36,11 @@ class TestLoadCsv:
         assert series.points == [(2010, 1, 42.5), (2010, 2, 40.0)]
         assert series.kind == sc.PRICE
 
+    @pytest.mark.parametrize("blank", ["", "   ", " , ,\t"])
+    def test_blank_rows_skipped(self, blank, tmp_path):
+        p = write_csv(tmp_path / "a.csv", ["2010,1,42.5", blank, "2010,2,40.0", blank])
+        assert load_csv_series(p, sc.PRICE).points == [(2010, 1, 42.5), (2010, 2, 40.0)]
+
     def test_header_only_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [])
         with pytest.raises(DataError, match="no rows"):
