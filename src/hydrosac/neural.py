@@ -312,8 +312,7 @@ class PolicyNet:
         self._raw_log_std = raw
         if single:
             # one row: the elementwise math runs on floats, with the same bits
-            raw = float(raw[0])
-            return float(mean[0]), min(max(raw, self.log_std_min), self.log_std_max)
+            return float(mean[0]), min(max(float(raw[0]), self.log_std_min), self.log_std_max)
         # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost
         return mean, np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
 
