@@ -372,7 +372,8 @@ class PolicyNet:
             np.asarray(g_log_prob, dtype=float),
             action, std, noise, self.prob_floor,
         )
-        self.backward_heads(g_mean, g_log_std)
+        # after a one-observation sample the cache holds floats: keep the row axis
+        self.backward_heads(np.atleast_1d(g_mean), g_log_std)
 
     def parameters(self):
         return (

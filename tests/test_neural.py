@@ -556,7 +556,7 @@ class TestSigmoidAndMeanAction:
         for seed, obs in enumerate(observations):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             one = pol.sample(obs, r1)
-            pol.backward_sample(g_action, g_log_prob)
+            pol.backward_sample(float(g_action[0]), float(g_log_prob[0]))  # floats broadcast
             grads = pol.grads.copy()
             rows = pol.sample(obs[None], r2)
             pol.backward_sample(g_action, g_log_prob)
