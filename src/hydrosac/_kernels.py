@@ -6,10 +6,6 @@ matrix products stay on numpy's BLAS. Floats, one observation's values,
 run as float arithmetic with numpy's exp and log, so a batch-1 call pays
 no array overhead and gets the bits of the array call's row. Each kernel is
 deterministic, so training is bit-reproducible from its seed.
-ReLU and the optimizer updates (RMSprop, Polyak) are not kernels here: the
-Mlp applies ReLU in place in its forward pass and masks by the cached
-output in its backward passes, and the optimizers run as in-place chains
-over each network's flat parameter vector (see neural.py).
 """
 
 import numpy as np
@@ -69,7 +65,8 @@ def squash_sample(mean, log_std, noise, prob_floor):
         - 0.5 * LOG_2PI
         - np.log(sig_grad + prob_floor)
     )
-    return action, log_prob, z
+    # std too, which the reverse pass reuses instead of taking exp again
+    return action, log_prob, z, std
 
 
 def squash_backward(g_action, g_log_prob, action, std, noise, prob_floor):

@@ -331,12 +331,12 @@ def cmd_plan(args):
         env_cfg,
         np.random.default_rng(seed),
     )
-    lines = [PLAN_HEADER]
+    lines = []
     for week, price, inflow, action, storage, reward, _, spill in trace.tolist():
         release = action * env_cfg.f_max * env_cfg.r_max
         values = (price, inflow, action, release, storage, spill, reward)
         lines.append(f"{int(week)},{','.join(map(repr, values))}")
-    sc._write_atomic(args.out, lambda fh: fh.write("\n".join(lines) + "\n"))
+    sc.write_csv(args.out, PLAN_HEADER, lines)
     print(f"total reward: {total:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -1,17 +1,22 @@
 """Dense feed-forward networks with hand-written backpropagation.
 
-Everything is float64. Each network keeps all of its weights and biases in
-one contiguous vector, `params`; every layer's arrays are views into it.
-A matching vector, `grads`, receives the parameter gradients, so an
-optimizer step is a single elementwise chain over one vector. An Mlp's
-forward caches only the layer inputs and the final output; a ReLU output is
-positive exactly where its pre-activation is, so it doubles as the backward
-mask. Each reverse pass computes only what its caller reads: `backward`
-fills `grads`, `input_grad` returns the gradient with respect to the input
-(needed to push Q gradients through actions). The policy network adds
-a squashed-Gaussian head pair on top of a shared trunk: it emits a mean and
-a clamped log standard deviation, samples with reparameterized noise, and
-squashes through a sigmoid so actions stay in (0, 1).
+Everything is float64. An Mlp takes and returns row batches only:
+forward maps (rows, in) to (rows, out), and backward and input_grad take
+a (rows, out) gradient and return a (rows, in) one. Only the policy
+accepts one observation as a 1-D vector, and returns floats for it.
+
+Each network keeps all of its weights and biases in one contiguous vector,
+`params`; every layer's arrays are views into it. A matching vector,
+`grads`, receives the parameter gradients, so an optimizer step is a single
+elementwise chain over one vector. An Mlp's forward caches only the layer
+inputs and the final output; a ReLU output is positive exactly where its
+pre-activation is, so it doubles as the backward mask. Each reverse pass
+computes only what its caller reads: `backward` fills `grads`, `input_grad`
+returns the gradient with respect to the input (needed to push Q gradients
+through actions). The policy network adds a squashed-Gaussian head pair on
+top of a shared trunk: it emits a mean and a clamped log standard
+deviation, samples with reparameterized noise, and squashes through a
+sigmoid so actions stay in (0, 1).
 """
 
 from dataclasses import dataclass
@@ -107,10 +112,8 @@ class Mlp:
         return [self.layers[0].wt.shape[0]] + [l.wt.shape[1] for l in self.layers]
 
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        acts = [a]
+        a = x
+        acts = [x]
         for layer in self.layers:
             a = a @ layer.wt
             a += layer.bias
@@ -118,7 +121,7 @@ class Mlp:
                 np.maximum(a, 0.0, out=a)
             acts.append(a)
         self._cache = acts
-        return a[0] if single else a
+        return a
 
     def backward(self, output_grad, to_input=False):
         """Fill `grads` given d(objective)/d(output); consumes the forward cache.
@@ -131,14 +134,10 @@ class Mlp:
         """d(objective)/d(input) given d(objective)/d(output); consumes the cache, skips `grads`."""
         return self._backprop(output_grad, False, True)
 
-    def _backprop(self, output_grad, fill_grads, to_input):
+    def _backprop(self, g, fill_grads, to_input):
         if self._cache is None:
             raise RuntimeError("backward pass without a cached forward pass")
         acts, self._cache = self._cache, None
-        g = np.asarray(output_grad, dtype=float)
-        single = g.ndim == 1
-        if single:
-            g = g[None, :]
         for k in range(len(self.layers) - 1, -1, -1):
             wt = self.layers[k].wt
             if self.layers[k].activation == RELU:
@@ -151,7 +150,7 @@ class Mlp:
                 # for a width-1 layer the k=1 gemm and this broadcast give the same bits
                 g = g * wt[:, 0] if wt.shape[1] == 1 else g @ np.ascontiguousarray(wt.T)
         if to_input:
-            return g[0] if single else g
+            return g
 
     def parameters(self):
         out = []
@@ -326,8 +325,8 @@ class PolicyNet:
         mean, log_std = self.forward(obs)
         single = isinstance(mean, float)
         noise = rng.standard_normal(1)[0] if single else rng.standard_normal(mean.shape[0])
-        action, log_prob, z = K.squash_sample(mean, log_std, noise, self.prob_floor)
-        self._sample_cache = (action, np.exp(log_std), noise)
+        action, log_prob, z, std = K.squash_sample(mean, log_std, noise, self.prob_floor)
+        self._sample_cache = (action, std, noise)
         if single:
             return float(action), float(log_prob), float(z)
         return action, log_prob, z
@@ -345,17 +344,6 @@ class PolicyNet:
         mean = self.mean_head.forward(h)[:, 0]
         return K._sigmoid(float(mean[0]) if single else mean)
 
-    def backward_heads(self, g_mean, g_log_std):
-        """Backprop given gradients on the two head outputs; fills `grads`."""
-        g_mean = np.asarray(g_mean, dtype=float)
-        raw = self._raw_log_std
-        # a clamped log-std passes no gradient
-        g_log_std = np.asarray(g_log_std, dtype=float) * (
-            (raw >= self.log_std_min) & (raw <= self.log_std_max))
-        dh_mean = self.mean_head.backward(g_mean[:, None], to_input=True)
-        dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
-        self.trunk.backward(dh_mean + dh_ls)
-
     def backward_sample(self, g_action, g_log_prob):
         """Backprop through the most recent sample() call.
 
@@ -368,12 +356,14 @@ class PolicyNet:
         action, std, noise = self._sample_cache
         self._sample_cache = None
         g_mean, g_log_std = K.squash_backward(
-            np.asarray(g_action, dtype=float),
-            np.asarray(g_log_prob, dtype=float),
-            action, std, noise, self.prob_floor,
-        )
+            g_action, g_log_prob, action, std, noise, self.prob_floor)
+        raw = self._raw_log_std
+        # a clamped log-std passes no gradient
+        g_log_std = g_log_std * ((raw >= self.log_std_min) & (raw <= self.log_std_max))
         # after a one-observation sample the cache holds floats: keep the row axis
-        self.backward_heads(np.atleast_1d(g_mean), g_log_std)
+        dh_mean = self.mean_head.backward(np.reshape(g_mean, (-1, 1)), to_input=True)
+        dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
+        self.trunk.backward(dh_mean + dh_ls)
 
     def parameters(self):
         return (

@@ -22,7 +22,10 @@ from . import _kernels as K
 from .env import UsageError, require_finite
 from .neural import (
     LINEAR,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     RELU,
+    SQUASH_PROB_FLOOR,
     PolicyNet,
     RmspropState,
     mlp_init,
@@ -110,9 +113,9 @@ class SacConfig:
     lr_policy: float = 1e-4
     rmsprop_rho: float = 0.99
     rmsprop_eps: float = 1e-8
-    log_std_min: float = -20.0
-    log_std_max: float = 2.0
-    squash_prob_floor: float = 3e-6
+    log_std_min: float = LOG_STD_MIN
+    log_std_max: float = LOG_STD_MAX
+    squash_prob_floor: float = SQUASH_PROB_FLOOR
 
     def validate(self):
         require_finite(self)

@@ -350,6 +350,11 @@ def _write_atomic(path, write):
         raise
 
 
+def write_csv(path, header, lines):
+    """Write `header`, then each string of `lines`, one per line; every CSV output goes here."""
+    _write_atomic(path, lambda fh: fh.write("\n".join([header, *lines]) + "\n"))
+
+
 def save_pools(pools, path):
     pools.validate()
     doc = {

@@ -25,7 +25,7 @@ import numpy as np
 from .env import EnvConfig, UsageError, observe, reset, step
 from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
                   TrainingAborted, update)
-from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario
+from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario, write_csv
 
 CHECKPOINT_VERSION = 1
 
@@ -465,17 +465,17 @@ def load_checkpoint(path):
 
 
 def write_train_log(records, path):
-    lines = [TRAIN_LOG_HEADER]
+    lines = []
     for r in records:
         vals = (r.total_reward, r.terminal_bonus, r.end_storage, r.total_spill, r.mean_action,
                 r.seconds)
         lines.append(f"{r.episode},{','.join(repr(float(v)) for v in vals)}")
-    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    write_csv(path, TRAIN_LOG_HEADER, lines)
 
 
 def write_eval_csv(report, path):
-    lines = [EVAL_HEADER]
+    lines = []
     for ep in report.episodes:
         for row in ep.trace.tolist():
             lines.append(f"{ep.index},{int(row[0])},{','.join(map(repr, row[1:7]))}")
-    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    write_csv(path, EVAL_HEADER, lines)

@@ -199,10 +199,10 @@ class TestCriterion3Gradients:
         rng = np.random.default_rng(seed)
         net = mlp_init(widths, [RELU] * (len(widths) - 2) + [LINEAR], rng,
                        final_layer_bound=0.5)
-        x = rng.random(widths[0])
-        loss_scale = float(net.forward(x)[0])
+        x = rng.random((1, widths[0]))
+        loss_scale = float(net.forward(x)[0, 0])
         net.forward(x)
-        net.backward(np.array([1.0]))
+        net.backward(np.array([[1.0]]))
         analytic = net.grads.copy()
         h = cls.H
         fd = np.empty_like(analytic)
@@ -213,9 +213,9 @@ class TestCriterion3Gradients:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                fp = net.forward(x)[0]
+                fp = net.forward(x)[0, 0]
                 arr[idx] = orig - h
-                fm = net.forward(x)[0]
+                fm = net.forward(x)[0, 0]
                 arr[idx] = orig
                 fd[i] = (fp - fm) / (2 * h)
                 i += 1

@@ -137,20 +137,20 @@ class TestForward:
         for layer in net.layers:
             layer.wt[...] = 0.0
             layer.bias[...] = 0.0
-        assert net.forward(np.ones(3)) == np.zeros(1)
+        assert net.forward(np.ones((1, 3))) == np.zeros((1, 1))
 
     def test_single_linear_layer(self):
         net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]), LINEAR)])
-        assert net.forward(np.array([3.0]))[0] == 7.0
+        assert net.forward(np.array([[3.0]]))[0, 0] == 7.0
 
     def test_relu_propagation(self):
         net = Mlp([Layer(np.eye(2), np.zeros(2), RELU)])
-        out = net.forward(np.array([-1.0, 2.0]))
-        assert np.array_equal(out, [0.0, 2.0])
+        out = net.forward(np.array([[-1.0, 2.0]]))
+        assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_relu_idempotent_on_nonnegative(self):
         net = Mlp([Layer(np.eye(3), np.zeros(3), RELU)])
-        x = np.array([0.0, 1.5, 7.0])
+        x = np.array([[0.0, 1.5, 7.0]])
         once = net.forward(x)
         twice = net.forward(once)
         assert np.array_equal(once, twice)
@@ -160,74 +160,74 @@ class TestForward:
         xs = np.random.default_rng(2).random((5, 4))
         batch = net.forward(xs)
         for i in range(5):
-            assert np.allclose(net.forward(xs[i]), batch[i], rtol=1e-15, atol=0)
+            assert np.allclose(net.forward(xs[i:i + 1])[0], batch[i], rtol=1e-15, atol=0)
 
     def test_dimension_mismatch(self):
         net = mlp_init([4, 6, 2], [RELU, LINEAR], np.random.default_rng(1))
         with pytest.raises(ValueError):
-            net.forward(np.ones(3))
+            net.forward(np.ones((1, 3)))
 
 
 class TestBackward:
     def test_zero_output_grad(self):
         net = mlp_init([3, 5, 1], [RELU, LINEAR], np.random.default_rng(0), final_layer_bound=0.3)
         net.grads[:] = 1.0  # stale values must be overwritten
-        net.forward(np.ones(3))
-        net.backward(np.zeros(1))
+        net.forward(np.ones((1, 3)))
+        net.backward(np.zeros((1, 1)))
         assert np.all(net.grads == 0)
-        net.forward(np.ones(3))
-        gin = net.input_grad(np.zeros(1))
+        net.forward(np.ones((1, 3)))
+        gin = net.input_grad(np.zeros((1, 1)))
         assert np.all(gin == 0)
 
     def test_single_linear_layer_grads(self):
         net = Mlp([Layer(np.array([[2.0]]), np.array([1.0]), LINEAR)])
-        x = np.array([3.0])
+        x = np.array([[3.0]])
         net.forward(x)
-        net.backward(np.array([1.0]))
+        net.backward(np.array([[1.0]]))
         dw, db = net.grads
         assert dw == 3.0  # d/dW = x
         assert db == 1.0  # d/db = 1
         net.forward(x)
-        gin = net.input_grad(np.array([1.0]))
-        assert gin[0] == 2.0  # d/dx = W
+        gin = net.input_grad(np.array([[1.0]]))
+        assert gin[0, 0] == 2.0  # d/dx = W
 
     def test_requires_cached_forward(self):
         # both reverse passes need a forward first, and each one consumes it
         net = mlp_init([3, 5, 1], [RELU, LINEAR], np.random.default_rng(0))
         for reverse in (net.backward, net.input_grad):
             with pytest.raises(RuntimeError):
-                reverse(np.ones(1))
-            net.forward(np.ones(3))
-            reverse(np.ones(1))
+                reverse(np.ones((1, 1)))
+            net.forward(np.ones((1, 3)))
+            reverse(np.ones((1, 1)))
             with pytest.raises(RuntimeError):
-                reverse(np.ones(1))
+                reverse(np.ones((1, 1)))
 
     def test_matches_finite_differences(self):
         # finite-difference oracle on a random 5 -> 3 -> 1 network
         rng = np.random.default_rng(14)
         net = mlp_init([5, 3, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
-        x = rng.random(5)
+        x = rng.random((1, 5))
 
         net.forward(x)
-        net.backward(np.array([1.0]))
+        net.backward(np.array([[1.0]]))
         analytic = net.grads.copy()
-        fd = fd_gradients(net.parameters(), lambda: float(net.forward(x)[0]))
+        fd = fd_gradients(net.parameters(), lambda: float(net.forward(x)[0, 0]))
         assert max_rel_err(analytic, np.concatenate([g.ravel() for g in fd])) < 1e-4
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         net = mlp_init([4, 6, 1], [RELU, LINEAR], rng, final_layer_bound=0.5)
-        x = rng.random(4)
+        x = rng.random((1, 4))
         net.forward(x)
-        net.backward(np.array([1.0]))
+        net.backward(np.array([[1.0]]))
         net.forward(x)
-        gin = net.input_grad(np.array([1.0]))
+        gin = net.input_grad(np.array([[1.0]]))
         fd = np.empty(4)
         for i in range(4):
-            xp = x.copy(); xp[i] += FD_STEP
-            xm = x.copy(); xm[i] -= FD_STEP
-            fd[i] = (net.forward(xp)[0] - net.forward(xm)[0]) / (2 * FD_STEP)
-        assert max_rel_err(gin, fd) < 1e-4
+            xp = x.copy(); xp[0, i] += FD_STEP
+            xm = x.copy(); xm[0, i] -= FD_STEP
+            fd[i] = (net.forward(xp)[0, 0] - net.forward(xm)[0, 0]) / (2 * FD_STEP)
+        assert max_rel_err(gin[0], fd) < 1e-4
 
     def test_batch_input_grad_matches_finite_differences(self):
         # a deep batch case: relu layers wider than 1 and a width-1 output

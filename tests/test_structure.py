@@ -1,11 +1,14 @@
-"""Checks of the source for where inputs are decoded and exit codes decided.
+"""Checks of the source for where files are read and written and exit codes decided.
 
 `scenario.read_json` and `scenario.read_csv` map a file that does not
 decode to the error that the CLI turns into exit 4. A decoder called
-anywhere else would skip that mapping. And `cli.main` alone turns a
-DataError into exit 4 and a UsageError or OSError into exit 2; a handler
-elsewhere in cli.py that caught one could give it another code. The
-numeric code keeps to numpy's exp and log, whose bits the digests pin.
+anywhere else would skip that mapping. Outputs go through
+`scenario._write_atomic`, which only scenario.py and the checkpoint writer
+call, so every CSV output shares `scenario.write_csv`. And `cli.main`
+alone turns a DataError into exit 4 and a UsageError or OSError into exit
+2; a handler elsewhere in cli.py that caught one could give it another
+code. The numeric code keeps to numpy's exp and log, whose bits the
+digests pin.
 """
 
 import ast
@@ -16,29 +19,41 @@ import hydrosac
 DECODERS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
 
 
-def decoder_calls(tree):
-    """Yield (enclosing function, "module.name") for each decoder call in `tree`."""
+def calls(tree):
+    """Yield (enclosing function, callee as written) for each call in `tree`."""
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                    and (func.value.id, func.attr) in DECODERS):
-                yield function, f"{func.value.id}.{func.attr}"
+            if isinstance(child, ast.Call):
+                yield function, ast.unparse(child.func)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from visit(child, child.name if is_function else function)
     yield from visit(tree, None)
 
 
-def test_inputs_are_decoded_only_by_the_shared_readers():
-    calls = set()
+def program_trees():
+    """Yield (module name, parsed source) for each module of the package."""
     for path in sorted(Path(hydrosac.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_inputs_are_decoded_only_by_the_shared_readers():
+    found = set()
+    for module, tree in program_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
                 names = {(node.module, alias.name) for alias in node.names}
-                assert not names & DECODERS, f"{path.name} imports a decoder by name"
-        calls |= {(path.stem, function, call) for function, call in decoder_calls(tree)}
-    assert calls == {("scenario", "read_json", "json.load"), ("scenario", "read_csv", "csv.reader")}
+                assert not names & DECODERS, f"{module}.py imports a decoder by name"
+        found |= {(module, function, call) for function, call in calls(tree)
+                  if tuple(call.split(".")) in DECODERS}
+    assert found == {("scenario", "read_json", "json.load"), ("scenario", "read_csv", "csv.reader")}
+
+
+def test_outputs_are_written_only_by_the_shared_writers():
+    writers = {(module, function) for module, tree in program_trees()
+               for function, call in calls(tree) if call.split(".")[-1] == "_write_atomic"}
+    stray = {w for w in writers if w[0] != "scenario" and w != ("trainer", "save_checkpoint")}
+    assert not stray, f"_write_atomic called outside scenario.py: {sorted(stray)}"
+    assert {("scenario", "write_csv"), ("trainer", "save_checkpoint")} <= writers
 
 
 # Outside main, each handler in cli.py may catch only these, in these functions.
