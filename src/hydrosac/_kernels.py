@@ -1,11 +1,9 @@
 """Elementwise numeric kernels: the squashed-Gaussian sample and its
 gradient, and the soft Bellman target.
 
-The kernels take numpy arrays or floats. Arrays run as vectorized numpy,
-matrix products stay on numpy's BLAS. Floats, one observation's values,
-run as float arithmetic with numpy's exp and log, so a batch-1 call pays
-no array overhead and gets the bits of the array call's row. Each kernel is
-deterministic, so training is bit-reproducible from its seed.
+The kernels run as vectorized numpy on arrays, one value per row; matrix
+products stay on numpy's BLAS. Each kernel is deterministic, so training
+is bit-reproducible from its seed.
 """
 
 import numpy as np
@@ -34,19 +32,6 @@ def _sigmoid(z):
     # overflows; `where` picks the branch per element. The lower branch takes
     # exp of z itself, not of -|z|, so that a NaN keeps its sign bit.
     # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost.
-    if isinstance(z, float):
-        # A float (np.float64 included) takes the same steps in float
-        # arithmetic, which rounds as the array ops do. exp stays numpy's:
-        # math.exp gives other bits on some inputs. A NaN fails every
-        # comparison, so it passes through unclamped, as in np.maximum.
-        if z >= 0.0:
-            s = 1.0 / (1.0 + float(np.exp(-z)))
-        else:
-            e = float(np.exp(z))
-            s = e / (1.0 + e)
-        if s < ACTION_MARGIN:
-            return ACTION_MARGIN
-        return 1.0 - ACTION_MARGIN if s > 1.0 - ACTION_MARGIN else s
     pos = z >= 0.0
     e = np.exp(np.where(pos, -z, z))
     d = 1.0 + e

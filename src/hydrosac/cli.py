@@ -323,14 +323,9 @@ def cmd_plan(args):
     else:
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
-    agent = ckpt.agent
     env_cfg = ckpt.config.env
-    total, trace = tr.rollout(
-        lambda obs, rng: agent.policy.mean_action(obs),
-        scn,
-        env_cfg,
-        np.random.default_rng(seed),
-    )
+    (total,), (trace,) = tr.rollout(tr.policy_action_fn(ckpt.agent.policy, True), [scn],
+                                    env_cfg, [np.random.default_rng(seed)])
     lines = []
     for week, price, inflow, action, storage, reward, _, spill in trace.tolist():
         release = action * env_cfg.f_max * env_cfg.r_max

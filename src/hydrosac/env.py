@@ -82,13 +82,8 @@ class StepOutcome:
 
 
 def _make_state(week, storage, price, inflow, cfg):
-    return EnvState(
-        week=week,
-        storage=storage,
-        price=price,
-        inflow=inflow,
-        weeks_to_empty=storage / cfg.f_max,
-    )
+    # positional: a keyword call costs twice as much, once a week
+    return EnvState(week, storage, price, inflow, storage / cfg.f_max)
 
 
 def reset(cfg, scenario, rng):
@@ -168,15 +163,9 @@ def step(state, action, scenario, cfg):
             float(scenario.inflows[next_week - 1]),
             cfg,
         )
-    return StepOutcome(
-        next_state=next_state,
-        reward=step_reward,
-        done=next_state is None,
-        spill=spill,
-        effective_action=a_eff,
-        terminal_bonus=bonus,
-        end_storage=end,
-    )
+    # in field order: next_state, reward, done, spill, effective_action,
+    # terminal_bonus, end_storage
+    return StepOutcome(next_state, step_reward, next_state is None, spill, a_eff, bonus, end)
 
 
 def observe(state):

@@ -1,9 +1,11 @@
 """Dense feed-forward networks with hand-written backpropagation.
 
 Everything is float64. An Mlp takes and returns row batches only:
-forward maps (rows, in) to (rows, out), and backward and input_grad take
-a (rows, out) gradient and return a (rows, in) one. Only the policy
-accepts one observation as a 1-D vector, and returns floats for it.
+forward maps (rows, in) to (rows, out) with one matrix product per layer,
+and backward and input_grad take a (rows, out) gradient and return a
+(rows, in) one. A (rows, 1, in) stack maps to (rows, 1, out) with one
+matrix-vector product per row, the bits a one-row batch gets; that is
+how acting runs, and it leaves no cache, since no reverse pass follows.
 
 Each network keeps all of its weights and biases in one contiguous vector,
 `params`; every layer's arrays are views into it. A matching vector,
@@ -75,7 +77,7 @@ def _rebind(net, state):
 
 
 class Mlp:
-    """Fully connected stack; forward caches activations for one reverse pass.
+    """Fully connected stack; forward on a row batch caches activations for one reverse pass.
 
     The layers' arrays are copied into one vector, `params`, in the order
     of parameters(); `grads` has the same layout.
@@ -120,7 +122,7 @@ class Mlp:
             if layer.activation == RELU:
                 np.maximum(a, 0.0, out=a)
             acts.append(a)
-        self._cache = acts
+        self._cache = acts if x.ndim == 2 else None  # a stack is acting: nothing to reverse
         return a
 
     def backward(self, output_grad, to_input=False):
@@ -302,50 +304,49 @@ class PolicyNet:
         return cls(trunk, mean_head, log_std_head, **kwargs)
 
     def forward(self, obs):
-        """Return (mean, log_std) with log_std clamped to the sane region."""
-        obs = np.asarray(obs, dtype=float)
-        single = obs.ndim == 1
-        h = self.trunk.forward(obs[None, :] if single else obs)
-        mean = self.mean_head.forward(h)[:, 0]
-        raw = self.log_std_head.forward(h)[:, 0]
+        """Return (mean, log_std), one value per observation row, with log_std
+        clamped to the sane region."""
+        h = self.trunk.forward(obs)
+        mean = self.mean_head.forward(h).reshape(-1)
+        raw = self.log_std_head.forward(h).reshape(-1)
         self._raw_log_std = raw
-        if single:
-            # one row: the elementwise math runs on floats, with the same bits
-            return float(mean[0]), min(max(float(raw[0]), self.log_std_min), self.log_std_max)
         # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost
         return mean, np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
 
     def sample(self, obs, rng):
-        """Reparameterized draw: (action, log_prob, pre_squash).
+        """Reparameterized draw: (action, log_prob, pre_squash), one value per row.
 
         action = sigmoid(mean + std * eps) with eps ~ N(0, 1); log_prob is
         the Gaussian density of the pre-squash value corrected for the
-        sigmoid change of variables (with the probability floor).
+        sigmoid change of variables (with the probability floor). A
+        (rows, 5) batch draws its noise from the generator `rng` and caches
+        what backward_sample needs. A (rows, 1, 5) stack is acting: `rng`
+        is then a sequence of generators, one per row, each drawing its
+        row's noise, and nothing is cached.
         """
         mean, log_std = self.forward(obs)
-        single = isinstance(mean, float)
-        noise = rng.standard_normal(1)[0] if single else rng.standard_normal(mean.shape[0])
+        acting = obs.ndim == 3
+        noise = (np.array([r.standard_normal() for r in rng]) if acting
+                 else rng.standard_normal(mean.shape[0]))
         action, log_prob, z, std = K.squash_sample(mean, log_std, noise, self.prob_floor)
-        self._sample_cache = (action, std, noise)
-        if single:
-            return float(action), float(log_prob), float(z)
+        self._sample_cache = None if acting else (action, std, noise)
         return action, log_prob, z
 
     def mean_action(self, obs):
-        """Deterministic action: the squashed mean, no sampling noise.
+        """Deterministic action per row: the squashed mean, no sampling noise.
 
-        Runs only the trunk and the mean head, so it leaves the log-std
-        head's cache from the last forward() in place. Its bits equal those
-        of squash_sample(mean, 0, 0)'s action.
+        Runs only the trunk and the mean head, so on a (rows, 5) batch it
+        leaves the log-std head's cache from the last forward() in place. A
+        (rows, 1, 5) stack is acting and drops the sample cache. Its bits
+        equal those of squash_sample(mean, 0, 0)'s action.
         """
-        obs = np.asarray(obs, dtype=float)
-        single = obs.ndim == 1
-        h = self.trunk.forward(obs[None, :] if single else obs)
-        mean = self.mean_head.forward(h)[:, 0]
-        return K._sigmoid(float(mean[0]) if single else mean)
+        if obs.ndim == 3:
+            self._sample_cache = None
+        h = self.trunk.forward(obs)
+        return K._sigmoid(self.mean_head.forward(h).reshape(-1))
 
     def backward_sample(self, g_action, g_log_prob):
-        """Backprop through the most recent sample() call.
+        """Backprop through the most recent sample() of a (rows, 5) batch.
 
         Takes gradients with respect to the sampled action and its log
         probability; routes them through the reparameterization (noise held
@@ -360,8 +361,7 @@ class PolicyNet:
         raw = self._raw_log_std
         # a clamped log-std passes no gradient
         g_log_std = g_log_std * ((raw >= self.log_std_min) & (raw <= self.log_std_max))
-        # after a one-observation sample the cache holds floats: keep the row axis
-        dh_mean = self.mean_head.backward(np.reshape(g_mean, (-1, 1)), to_input=True)
+        dh_mean = self.mean_head.backward(g_mean[:, None], to_input=True)
         dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
         self.trunk.backward(dh_mean + dh_ls)
 

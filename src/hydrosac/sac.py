@@ -9,8 +9,8 @@ ascends min_k Q_k(obs, a~) - alpha * log pi(a~|obs) through a~; the target
 value network trails the value network by Polyak averaging.
 
 Acting is not done here: training, evaluation and planning wrap
-`policy.sample` or `policy.mean_action` in an `(obs, rng) -> action`
-callable, which `trainer.play` calls once per week.
+`policy.sample` or `policy.mean_action` in an `(obs_rows, rngs) -> actions`
+callable, which `trainer.play` calls once per week for all its years.
 """
 
 import copy

@@ -1,12 +1,18 @@
 """Training orchestration, evaluation rollouts, and checkpoint persistence.
 
 Every simulated year, in training and in evaluation, is stepped by one
-generator, `play`, and every action comes from a callable
-`action_fn(obs, rng) -> action in [0, 1]`: uniform draws and then policy
-samples in training, the policy's mean or a sample in evaluation, or any
-baseline. Training is one serialized loop driven by a single seeded
-generator; evaluation derives an independent generator per episode from
-(seed, episode index). A Checkpoint holds the live agent it describes: saving
+generator, `play`, which steps a list of years in lock-step. Every action
+comes from a callable `action_fn(obs_rows, rngs) -> actions`, called once
+a week with obs_rows[i] the observation of year i and rngs[i] its
+generator, and returning one action in [0, 1] per year: uniform draws and
+then policy samples in training, the policy's mean or a sample in
+evaluation, or any baseline. The policy acts on the rows as a (years, 1, 5)
+stack, one matrix-vector product per row, so each year gets the bits it
+would get alone; a (years, 5) batch would run one matrix product, with
+other bits. Training plays one year at a time in one serialized loop
+driven by a single seeded generator; evaluation derives an independent
+generator per episode from (seed, episode index) and plays all its
+episodes together. A Checkpoint holds the live agent it describes: saving
 reads the agent's arrays in place, and loading builds the agent its config
 echo describes, once, and writes the stored arrays into it. On disk
 it is a JSON document whose floating point numbers are written as
@@ -155,23 +161,33 @@ class Checkpoint:
         return self.agent
 
 
-def play(action_fn, scenario, env_cfg, rng):
-    """Step one 52-week year; yield (state, obs, action, outcome, next_obs) per week.
+def play(action_fn, scenarios, env_cfg, rngs):
+    """Step the years `scenarios` in lock-step; yield (i, state, obs, action,
+    outcome, next_obs) for each year i, week by week.
 
-    The year starts from reset(env_cfg, scenario, rng). Each week's action
-    is float(action_fn(obs, rng)), drawn only when the caller asks for the
-    week, so whatever the caller's loop body does with `rng` between two
-    weeks comes before the next action's draws. next_obs is the observation
-    of outcome.next_state, or zeros after the last week.
+    Year i starts from reset(env_cfg, scenarios[i], rngs[i]). Each week's
+    actions come from one call action_fn(obs_rows, rngs), where obs_rows is
+    the list of the years' observation 5-vectors; action i is
+    float(actions[i]). The call is made only when the caller asks for the
+    week's first year, so whatever the caller's loop body does with a
+    generator between two weeks comes before the next actions' draws.
+    next_obs is the observation of outcome.next_state, or zeros after the
+    last week.
     """
-    state = reset(env_cfg, scenario, rng)
-    obs = observe(state)
+    years = range(len(scenarios))
+    states = [reset(env_cfg, scenario, rng) for scenario, rng in zip(scenarios, rngs)]
+    obs = [observe(state) for state in states]
     for _ in range(WEEKS):
-        action = float(action_fn(obs, rng))
-        outcome = step(state, action, scenario, env_cfg)
-        next_obs = np.zeros(OBS_DIM) if outcome.done else observe(outcome.next_state)
-        yield state, obs, action, outcome, next_obs
-        state, obs = outcome.next_state, next_obs
+        actions = action_fn(obs, rngs)
+        for i in years:
+            state = states[i]
+            action = float(actions[i])
+            outcome = step(state, action, scenarios[i], env_cfg)
+            next_state = outcome.next_state
+            next_obs = np.zeros(OBS_DIM) if next_state is None else observe(next_state)
+            yield i, state, obs[i], action, outcome, next_obs
+            states[i] = next_state
+            obs[i] = next_obs
 
 
 def train(cfg, pools, checkpoint_path=None):
@@ -195,10 +211,12 @@ def train(cfg, pools, checkpoint_path=None):
     steps_done = 0
     episode = 0
 
-    def act(obs, rng):
+    sample = policy_action_fn(agent.policy, deterministic=False)
+
+    def act(obs, rngs):
         if steps_done < cfg.exploration_weeks:
-            return rng.random()
-        return agent.policy.sample(obs, rng)[0]
+            return [rng.random()]
+        return sample(obs, rngs)
 
     while steps_done < cfg.total_weeks:
         t0 = time.perf_counter()
@@ -206,7 +224,7 @@ def train(cfg, pools, checkpoint_path=None):
         ep_reward = 0.0
         ep_spill = 0.0
         ep_action_sum = 0.0
-        for _, obs, action, outcome, next_obs in play(act, scenario, cfg.env, rng):
+        for _, _, obs, action, outcome, next_obs in play(act, [scenario], cfg.env, [rng]):
             buffer.push(obs, action, outcome.reward, next_obs, outcome.done)
             steps_done += 1
             if steps_done > cfg.exploration_weeks and len(buffer) >= cfg.batch_size:
@@ -243,31 +261,36 @@ def train(cfg, pools, checkpoint_path=None):
     return ckpt, records
 
 
-def rollout(action_fn, scenario, env_cfg, rng):
-    """Play one year with action_fn(obs, rng) -> action in [0, 1].
+def rollout(action_fn, scenarios, env_cfg, rngs):
+    """Play the years `scenarios` with action_fn(obs_rows, rngs) -> actions.
 
-    Returns (total_reward, trace) where trace rows are (week, price, inflow,
-    effective action, end-of-week storage, reward, accumulated reward,
-    spill).
+    Returns (totals, traces): each year's total reward, and a (years, 52, 8)
+    array whose rows are (week, price, inflow, effective action,
+    end-of-week storage, reward, accumulated reward, spill).
     """
-    trace = np.empty((WEEKS, 8))
-    total = 0.0
-    for w, (state, _, _, outcome, _) in enumerate(play(action_fn, scenario, env_cfg, rng)):
-        total += outcome.reward
-        trace[w] = (state.week, state.price, state.inflow, outcome.effective_action,
-                    outcome.end_storage, outcome.reward, total, outcome.spill)
-    return total, trace
+    traces = np.empty((len(scenarios), WEEKS, 8))
+    totals = [0.0] * len(scenarios)
+    for i, state, _, _, outcome, _ in play(action_fn, scenarios, env_cfg, rngs):
+        totals[i] += outcome.reward
+        traces[i, state.week - 1] = (state.week, state.price, state.inflow,
+                                     outcome.effective_action, outcome.end_storage,
+                                     outcome.reward, totals[i], outcome.spill)
+    return totals, traces
 
 
 def evaluate_policy_fn(action_fn, pools, env_cfg, n_episodes, seed):
-    """Shared evaluation harness; episode i uses a generator derived from (seed, i)."""
-    episodes = []
-    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
-        rng = np.random.default_rng(seq)
-        scenario = sample_scenario(pools, rng)
-        total, trace = rollout(action_fn, scenario, env_cfg, rng)
-        episodes.append(EvalEpisode(index=i, total_reward=total, trace=trace))
-    return EvalReport(episodes=episodes)
+    """Shared evaluation harness; episode i uses a generator derived from (seed, i).
+
+    Each episode's generator draws its scenario, then its start storage
+    and its actions; all episodes play together, one action_fn call a week.
+    """
+    if n_episodes < 1:
+        raise UsageError("n_episodes must be >= 1")
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_episodes)]
+    totals, traces = rollout(action_fn, [sample_scenario(pools, rng) for rng in rngs],
+                             env_cfg, rngs)
+    return EvalReport(episodes=[EvalEpisode(index=i, total_reward=total, trace=trace)
+                                for i, (total, trace) in enumerate(zip(totals, traces))])
 
 
 def evaluate(ckpt, pools, n_episodes, deterministic, seed):
@@ -275,24 +298,25 @@ def evaluate(ckpt, pools, n_episodes, deterministic, seed):
 
     The environment configuration echoed in the checkpoint is used. With
     deterministic=True the policy's mean action is applied; otherwise
-    actions are sampled with the per-episode generator.
+    actions are sampled with the per-episode generators.
     """
-    if n_episodes < 1:
-        raise UsageError("n_episodes must be >= 1")
-    agent = ckpt.agent
+    return evaluate_policy_fn(policy_action_fn(ckpt.agent.policy, deterministic), pools,
+                              ckpt.config.env, n_episodes, seed)
+
+
+def policy_action_fn(policy, deterministic):
+    """The action_fn of `policy`: its mean action, or a sample, on the (years, 1, 5) stack."""
     if deterministic:
-        action_fn = lambda obs, rng: agent.policy.mean_action(obs)
-    else:
-        action_fn = lambda obs, rng: agent.policy.sample(obs, rng)[0]
-    return evaluate_policy_fn(action_fn, pools, ckpt.config.env, n_episodes, seed)
+        return lambda obs, rngs: policy.mean_action(np.array(obs)[:, None])
+    return lambda obs, rngs: policy.sample(np.array(obs)[:, None], rngs)[0]
 
 
-def random_policy(obs, rng):
-    return rng.random()
+def random_policy(obs, rngs):
+    return [rng.random() for rng in rngs]
 
 
 def constant_policy(level):
-    return lambda obs, rng: level
+    return lambda obs, rngs: [level] * len(rngs)
 
 
 # ---------------------------------------------------------------------------

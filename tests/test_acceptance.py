@@ -227,7 +227,7 @@ class TestCriterion3Gradients:
         # sigmoid's active region, where gradients stay measurable
         rng = np.random.default_rng(seed)
         pol = PolicyNet.init(5, 100, rng, head_bound=0.05)
-        obs = rng.random(5)
+        obs = rng.random((1, 5))
         noise = rng.standard_normal(1)
         c_action, c_log_prob = 0.8, -0.4
 
@@ -237,7 +237,7 @@ class TestCriterion3Gradients:
 
         def loss():
             a, lp, _ = pol.sample(obs, Fixed())
-            return c_action * a + c_log_prob * lp
+            return c_action * a[0] + c_log_prob * lp[0]
 
         pol.sample(obs, Fixed())
         pol.backward_sample(np.array([c_action]), np.array([c_log_prob]))

@@ -252,6 +252,14 @@ class TestEvaluate:
                 acc += float(r[6])
                 assert float(r[7]) == acc
 
+    def test_no_episodes_exit_2(self, tmp_path, trained_files, pools_file, capsys):
+        ckpt, _ = trained_files
+        out = tmp_path / "eval.csv"
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--pools", str(pools_file),
+                    "--episodes", "0", "--out", str(out)]) == 2
+        assert "error: n_episodes must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_idempotent(self, tmp_path, trained_files, pools_file):
         ckpt, _ = trained_files
         outs = []

@@ -2,11 +2,8 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hydrosac import neural
 from hydrosac._kernels import ACTION_MARGIN, _sigmoid, squash_sample
 from hydrosac.neural import (
     LINEAR,
@@ -386,20 +383,20 @@ class TestRmsprop:
 class TestPolicyForward:
     def test_zero_heads(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
-        mean, log_std = pol.forward(np.ones(5))
+        mean, log_std = pol.forward(np.ones((1, 5)))
         assert mean == 0.0
         assert log_std == 0.0
 
     def test_log_std_clamped_high(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
         pol.log_std_head.layers[0].bias[...] = 5.0
-        _, log_std = pol.forward(np.ones(5))
+        _, log_std = pol.forward(np.ones((1, 5)))
         assert log_std == LOG_STD_MAX
 
     def test_log_std_clamped_low(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
         pol.log_std_head.layers[0].bias[...] = -30.0
-        _, log_std = pol.forward(np.ones(5))
+        _, log_std = pol.forward(np.ones((1, 5)))
         assert log_std == LOG_STD_MIN
 
 
@@ -407,12 +404,12 @@ class TestPolicySample:
     def test_near_zero_std_gives_squashed_mean(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
         pol.log_std_head.layers[0].bias[...] = -30.0  # clamps to -20, std ~ 2e-9
-        action, _, _ = pol.sample(np.ones(5), np.random.default_rng(1))
+        action, _, _ = pol.sample(np.ones((1, 5)), np.random.default_rng(1))
         assert action == pytest.approx(0.5, abs=1e-8)
 
     def test_same_seed_identical(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(3), head_bound=0.1)
-        obs = np.random.default_rng(4).random(5)
+        obs = np.random.default_rng(4).random((1, 5))
         s1 = pol.sample(obs, np.random.default_rng(7))
         s2 = pol.sample(obs, np.random.default_rng(7))
         assert s1 == s2
@@ -421,7 +418,7 @@ class TestPolicySample:
         pol = PolicyNet.init(5, 8, np.random.default_rng(5), head_bound=0.1)
         pol.mean_head.layers[0].bias[...] = 500.0  # drive the sigmoid to saturation
         rng = np.random.default_rng(0)
-        action, log_prob, _ = pol.sample(np.ones(5), rng)
+        action, log_prob, _ = pol.sample(np.ones((1, 5)), rng)
         assert 0.0 < action < 1.0
         assert np.isfinite(log_prob)
 
@@ -429,18 +426,18 @@ class TestPolicySample:
         pol = PolicyNet.init(5, 8, np.random.default_rng(6), head_bound=2.0)
         rng = np.random.default_rng(1)
         for _ in range(500):
-            a, lp, _ = pol.sample(rng.random(5), rng)
+            a, lp, _ = pol.sample(rng.random((1, 5)), rng)
             assert 0.0 < a < 1.0
             assert np.isfinite(lp)
 
     def test_sample_log_prob_matches_density_function(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(8), head_bound=0.5)
-        obs = np.random.default_rng(9).random(5)
+        obs = np.random.default_rng(9).random((1, 5))
         rng = np.random.default_rng(10)
         action, log_prob, _ = pol.sample(obs, rng)
         mean, log_std = pol.forward(obs)
         assert log_prob == pytest.approx(
-            float(squashed_log_prob(mean, log_std, action)), abs=1e-9
+            squashed_log_prob(mean, log_std, action)[0], abs=1e-9
         )
 
     def test_density_normalizes(self):
@@ -456,17 +453,17 @@ class TestPolicySample:
 class TestPolicyMeanAction:
     def test_zero_policy(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
-        assert pol.mean_action(np.ones(5)) == 0.5
+        assert pol.mean_action(np.ones((1, 5))) == 0.5
 
     def test_large_mean_saturates_toward_one(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(0), head_bound=0.0)
         pol.mean_head.layers[0].bias[...] = 50.0
-        assert pol.mean_action(np.ones(5)) == pytest.approx(1.0, abs=1e-9)
+        assert pol.mean_action(np.ones((1, 5))) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_minimal_std_samples(self):
         pol = PolicyNet.init(5, 8, np.random.default_rng(2), head_bound=0.3)
         pol.log_std_head.layers[0].bias[...] = -30.0  # clamp to min std
-        obs = np.random.default_rng(3).random(5)
+        obs = np.random.default_rng(3).random((1, 5))
         rng = np.random.default_rng(4)
         deterministic = pol.mean_action(obs)
         for _ in range(20):
@@ -518,65 +515,56 @@ class TestSigmoidAndMeanAction:
         zeros = np.zeros_like(mean)
         expected = squash_sample(mean, zeros, zeros, pol.prob_floor)[0]
         assert np.array_equal(bits(pol.mean_action(obs)), bits(expected))
-        if batch == 1:
-            assert bits(pol.mean_action(obs[0])) == bits(expected[0])
+        if batch == 1:  # a one-row batch and a one-row stack run the same product
+            assert np.array_equal(bits(pol.mean_action(obs[:, None])), bits(expected))
 
-    def test_float_path_has_the_array_bits(self):
-        floats = [_sigmoid(float(z)) for z in SIGMOID_GRID]
-        assert np.array_equal(bits(floats), bits(_sigmoid(SIGMOID_GRID)))
-
-    def test_float_path_raises_what_the_array_path_raises(self):
-        def error(z):
-            try:
-                with np.errstate(all="raise"):
-                    _sigmoid(z)
-            except FloatingPointError as e:
-                return str(e)
-
-        errors = [(error(float(z)), error(SIGMOID_GRID[i:i + 1]))
-                  for i, z in enumerate(SIGMOID_GRID)]
-        assert all(f == a for f, a in errors)
-        assert any(f is not None for f, _ in errors)  # exp underflows past |z| ~ 708
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(LOG_STD_MIN, LOG_STD_MAX),
-                              st.floats(-10.0, 10.0)), min_size=1, max_size=8))
-    def test_squash_sample_on_floats_has_the_array_bits(self, rows):
-        mean, log_std, noise = map(np.array, zip(*rows))
-        arrays = squash_sample(mean, log_std, noise, neural.SQUASH_PROB_FLOOR)
-        for i, row in enumerate(rows):
-            floats = squash_sample(*row, neural.SQUASH_PROB_FLOOR)
-            assert [int(bits(f)) for f in floats] == [int(bits(a[i])) for a in arrays]
-
-    def test_batch_one_sample_is_row_zero_of_the_batch(self):
-        # a wide head scale clamps the log-std below, above and not at all
+    def test_one_row_stack_is_row_i_of_the_stack(self):
+        # acting plays many years as one (n, 1, 5) stack; each row must get the
+        # bits it gets alone, in a one-row stack or a one-row batch, and draw
+        # its noise from its own generator. A wide head scale clamps the
+        # log-std below, above and not at all.
         pol = PolicyNet.init(5, 8, np.random.default_rng(33), head_bound=2.0)
-        observations = np.random.default_rng(34).standard_normal((40, 5)) * 30.0
-        g_action, g_log_prob = np.array([0.7]), np.array([-0.2])
-        for seed, obs in enumerate(observations):
-            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            one = pol.sample(obs, r1)
-            pol.backward_sample(float(g_action[0]), float(g_log_prob[0]))  # floats broadcast
-            grads = pol.grads.copy()
-            rows = pol.sample(obs[None], r2)
-            pol.backward_sample(g_action, g_log_prob)
-            assert all(type(v) is float for v in one)
-            assert [int(bits(v)) for v in one] == [int(bits(a[0])) for a in rows]
-            assert r1.bit_generator.state == r2.bit_generator.state
-            assert np.array_equal(bits(grads), bits(pol.grads))
+        stack = np.random.default_rng(34).standard_normal((40, 1, 5)) * 30.0
+        rngs = [np.random.default_rng(seed) for seed in range(40)]
+        rows = pol.sample(stack, rngs)
+        means = pol.mean_action(stack)
+        for i, obs in enumerate(stack):
+            alone, batch = np.random.default_rng(i), np.random.default_rng(i)
+            one = pol.sample(stack[i:i + 1], [alone])
+            assert [int(bits(a[i])) for a in rows] == [int(bits(v[0])) for v in one]
+            batch_one = pol.sample(obs, batch)
+            assert [int(bits(v[0])) for v in batch_one] == [int(bits(v[0])) for v in one]
+            assert rngs[i].bit_generator.state == alone.bit_generator.state
+            assert alone.bit_generator.state == batch.bit_generator.state
+            assert int(bits(means[i])) == int(bits(pol.mean_action(stack[i:i + 1])[0]))
+            assert int(bits(means[i])) == int(bits(pol.mean_action(obs)[0]))
+
+    @pytest.mark.parametrize("act", ["sample", "mean_action"])
+    def test_acting_leaves_nothing_to_backpropagate(self, act):
+        pol = PolicyNet.init(5, 6, np.random.default_rng(27), head_bound=0.5)
+        batch = np.random.default_rng(28).random((3, 5))
+        pol.sample(batch, np.random.default_rng(29))  # caches that acting must drop
+        if act == "sample":
+            pol.sample(batch[:, None], [np.random.default_rng(seed) for seed in range(3)])
+        else:
+            pol.mean_action(batch[:, None])
+        with pytest.raises(RuntimeError, match="backward_sample called without a cached sample"):
+            pol.backward_sample(np.ones(3), np.ones(3))
+        with pytest.raises(RuntimeError, match="without a cached forward pass"):
+            pol.trunk.backward(np.ones((3, 6)))
 
 
 class TestPolicyGradients:
     def test_sample_path_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         pol = PolicyNet.init(5, 6, rng, head_bound=0.5)
-        obs = rng.random(5)
+        obs = rng.random((1, 5))
         noise = FixedNoise(rng.standard_normal(1))
         c_action, c_log_prob = 0.8, -0.4
 
         def loss():
             a, lp, _ = pol.sample(obs, noise)
-            return c_action * a + c_log_prob * lp
+            return c_action * a[0] + c_log_prob * lp[0]
 
         pol.sample(obs, noise)
         pol.backward_sample(np.array([c_action]), np.array([c_log_prob]))
@@ -587,7 +575,7 @@ class TestPolicyGradients:
     def test_clamped_log_std_blocks_gradient(self):
         pol = PolicyNet.init(5, 6, np.random.default_rng(22), head_bound=0.1)
         pol.log_std_head.layers[0].bias[...] = 10.0  # clamped to +2 everywhere
-        obs = np.random.default_rng(23).random(5)
+        obs = np.random.default_rng(23).random((1, 5))
         pol.grads[:] = 1.0  # stale values must be overwritten
         pol.sample(obs, FixedNoise([0.3]))
         pol.backward_sample(np.array([0.0]), np.array([1.0]))
@@ -599,7 +587,7 @@ class TestPolicyGradients:
         # values for the same obs; the log-std clamp still blocks its gradient
         pol = PolicyNet.init(5, 6, np.random.default_rng(22), head_bound=0.1)
         pol.log_std_head.layers[0].bias[...] = 10.0  # clamped to +2 everywhere
-        obs = np.random.default_rng(23).random(5)
+        obs = np.random.default_rng(23).random((1, 5))
         pol.grads[:] = 1.0
         pol.sample(obs, FixedNoise([0.3]))
         pol.mean_action(obs)

@@ -7,8 +7,9 @@ anywhere else would skip that mapping. Outputs go through
 call, so every CSV output shares `scenario.write_csv`. And `cli.main`
 alone turns a DataError into exit 4 and a UsageError or OSError into exit
 2; a handler elsewhere in cli.py that caught one could give it another
-code. The numeric code keeps to numpy's exp and log, whose bits the
-digests pin.
+code. Every simulated year is stepped by `trainer.play`, the one episode
+loop, so no second loop can drift from it. The numeric code keeps to
+numpy's exp and log, whose bits the digests pin.
 """
 
 import ast
@@ -54,6 +55,12 @@ def test_outputs_are_written_only_by_the_shared_writers():
     stray = {w for w in writers if w[0] != "scenario" and w != ("trainer", "save_checkpoint")}
     assert not stray, f"_write_atomic called outside scenario.py: {sorted(stray)}"
     assert {("scenario", "write_csv"), ("trainer", "save_checkpoint")} <= writers
+
+
+def test_years_are_stepped_only_by_play():
+    stepping = {(module, function, call) for module, tree in program_trees()
+                for function, call in calls(tree) if call.split(".")[-1] in ("step", "reset")}
+    assert stepping == {("trainer", "play", "reset"), ("trainer", "play", "step")}
 
 
 # Outside main, each handler in cli.py may catch only these, in these functions.

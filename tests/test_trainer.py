@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrosac import cli
+from hydrosac import env
 from hydrosac import scenario as sc
 from hydrosac import trainer as tr
-from hydrosac.env import EnvConfig
+from hydrosac.env import EnvConfig, UsageError
 from hydrosac.sac import SacConfig, TrainingAborted, update
 from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools, save_pools
 from hydrosac.trainer import (
@@ -85,6 +86,10 @@ def params_digest(ckpt):
             h.update(b.tobytes())
             h.update(act.encode())
     return h.hexdigest()
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 class TestTrain:
@@ -241,11 +246,12 @@ class TestPlay:
     def test_weeks_chain(self, pools):
         rng = np.random.default_rng(0)
         scenario = tr.sample_scenario(pools, rng)
-        weeks = list(play(random_policy, scenario, EnvConfig(), rng))
-        assert [state.week for state, *_ in weeks] == list(range(1, 53))
-        for (_, _, _, outcome, next_obs), (_, obs, *_) in zip(weeks, weeks[1:]):
+        weeks = list(play(random_policy, [scenario], EnvConfig(), [rng]))
+        assert [i for i, *_ in weeks] == [0] * 52
+        assert [state.week for _, state, *_ in weeks] == list(range(1, 53))
+        for (*_, outcome, next_obs), (_, _, obs, *_) in zip(weeks, weeks[1:]):
             assert not outcome.done and next_obs is obs
-        _, _, _, last, next_obs = weeks[-1]
+        *_, last, next_obs = weeks[-1]
         assert last.done and last.next_state is None
         assert np.array_equal(next_obs, np.zeros(5))
 
@@ -253,16 +259,36 @@ class TestPlay:
         # the caller's use of rng for week w comes before week w+1's action draw
         bodies_done = []
 
-        def action_fn(obs, rng):
+        def action_fn(obs, rngs):
             bodies_done.append(len(seen))
-            return 0.5
+            return [0.5]
 
         seen = []
         rng = np.random.default_rng(1)
-        for _, _, action, _, _ in play(action_fn, tr.sample_scenario(pools, rng), EnvConfig(), rng):
+        for _, _, _, action, _, _ in play(action_fn, [tr.sample_scenario(pools, rng)],
+                                          EnvConfig(), [rng]):
             seen.append(action)
         assert bodies_done == list(range(52))
         assert seen == [0.5] * 52
+
+    def test_years_step_in_lock_step(self, pools):
+        # one action_fn call a week for all years, row i the observation of
+        # year i; then each year steps, in order
+        rngs = [np.random.default_rng(seed) for seed in (2, 3, 4)]
+        scenarios = [tr.sample_scenario(pools, rng) for rng in rngs]
+        calls = []
+
+        def action_fn(obs, rngs):
+            calls.append((len(weeks), obs.copy()))
+            return [0.25, 0.5, 0.75]
+
+        weeks = []
+        for i, state, obs, action, outcome, _ in play(action_fn, scenarios, EnvConfig(), rngs):
+            weeks.append((i, state.week, action))
+            assert np.array_equal(obs, env.observe(state))
+            assert np.array_equal(calls[-1][1][i], obs)
+        assert weeks == [(i, w, (i + 1) / 4) for w in range(1, 53) for i in range(3)]
+        assert [n for n, _ in calls] == list(range(0, 156, 3))
 
 
 class TestCheckpointRoundTrip:
@@ -584,8 +610,8 @@ class TestEvaluate:
             terminal_low=0.0, terminal_high=0.0,  # window never pays
         )
         scn = Scenario(prices=np.full(52, 0.8), inflows=np.zeros(52))
-        total, trace = rollout(
-            constant_policy(0.5), scn, env_cfg, np.random.default_rng(0)
+        (total,), (trace,) = rollout(
+            constant_policy(0.5), [scn], env_cfg, [np.random.default_rng(0)]
         )
         assert total == pytest.approx(0.5 * 1000.0 * 0.8, rel=1e-9)
         # weeks with ample storage earn exactly 0.5 * f_max * r_max * y
@@ -598,6 +624,48 @@ class TestEvaluate:
         for e1, e2 in zip(r1.episodes, r2.episodes):
             assert np.array_equal(e1.trace[:, 1], e2.trace[:, 1])  # prices
             assert np.array_equal(e1.trace[:, 2], e2.trace[:, 2])  # inflows
+
+
+    @pytest.mark.parametrize("n", [1, 7, 37])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_matches_a_plain_per_episode_loop(self, reference_run, n, deterministic):
+        # an oracle apart from play and rollout: one episode after another,
+        # each stepped by hand, the policy acting on a (1, 5) batch
+        ckpt = load_checkpoint(reference_run / "ck.json")
+        pools = sc.load_pools(reference_run / "pools.json")
+        report = evaluate(ckpt, pools, n, deterministic, seed=41)
+        policy, env_cfg = ckpt.agent.policy, ckpt.config.env
+        assert [ep.index for ep in report.episodes] == list(range(n))
+        for ep, seq in zip(report.episodes, np.random.SeedSequence(41).spawn(n)):
+            rng = np.random.default_rng(seq)
+            scn = tr.sample_scenario(pools, rng)
+            state = env.reset(env_cfg, scn, rng)
+            total, rows = 0.0, []
+            while state is not None:
+                obs = env.observe(state)[None]
+                action = policy.mean_action(obs) if deterministic else policy.sample(obs, rng)[0]
+                out = env.step(state, float(action[0]), scn, env_cfg)
+                total += out.reward
+                rows.append((state.week, state.price, state.inflow, out.effective_action,
+                             out.end_storage, out.reward, total, out.spill))
+                state = out.next_state
+            assert np.array_equal(bits(ep.trace), bits(np.array(rows)))
+            assert bits(ep.total_reward) == bits(total)
+
+    def test_episodes_do_not_depend_on_how_many_play(self, trained, pools):
+        _, ckpt, _ = trained
+        env_cfg = ckpt.config.env
+        for action_fn in (tr.policy_action_fn(ckpt.agent.policy, True),
+                          tr.policy_action_fn(ckpt.agent.policy, False), random_policy):
+            seven = evaluate_policy_fn(action_fn, pools, env_cfg, 7, seed=43).episodes
+            three = evaluate_policy_fn(action_fn, pools, env_cfg, 3, seed=43).episodes
+            for a, b in zip(seven[:3], three, strict=True):
+                assert a.index == b.index and bits(a.total_reward) == bits(b.total_reward)
+                assert np.array_equal(bits(a.trace), bits(b.trace))
+
+    def test_policy_fn_harness_rejects_no_episodes(self, pools):
+        with pytest.raises(UsageError, match="n_episodes must be >= 1"):
+            evaluate_policy_fn(random_policy, pools, EnvConfig(), 0, seed=1)
 
 
 class TestCsvWriters:
