@@ -299,10 +299,10 @@ def cmd_evaluate(args):
     _, artificial, _ = _settings(args)
     seed = _seed(args.seed)
     pools = _get_pools(args, artificial, seed)
-    report = tr.evaluate(ckpt, pools, args.episodes, args.deterministic, seed)
-    tr.write_eval_csv(report, args.out)
-    totals = report.total_rewards()
-    print(f"episodes: {len(report.episodes)}")
+    traces = tr.evaluate(ckpt, pools, args.episodes, args.deterministic, seed)
+    tr.write_eval_csv(traces, args.out)
+    totals = traces[:, -1, 6]  # accumulated reward in week 52
+    print(f"episodes: {len(traces)}")
     print(
         f"mean total reward: {totals.mean():.3f} "
         f"(min {totals.min():.3f}, max {totals.max():.3f})"
@@ -324,15 +324,15 @@ def cmd_plan(args):
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
     env_cfg = ckpt.config.env
-    (total,), (trace,) = tr.rollout(tr.policy_action_fn(ckpt.agent.policy, True), [scn],
-                                    env_cfg, [np.random.default_rng(seed)])
+    (trace,) = tr.rollout(tr.policy_action_fn(ckpt.agent.policy, True), [scn], env_cfg,
+                          [np.random.default_rng(seed)])
     lines = []
     for week, price, inflow, action, storage, reward, _, spill in trace.tolist():
         release = action * env_cfg.f_max * env_cfg.r_max
         values = (price, inflow, action, release, storage, spill, reward)
         lines.append(f"{int(week)},{','.join(map(repr, values))}")
     sc.write_csv(args.out, PLAN_HEADER, lines)
-    print(f"total reward: {total:.3f}")
+    print(f"total reward: {trace[-1, 6]:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -55,8 +55,8 @@ class EnvConfig:
             raise UsageError("terminal bounds must satisfy 0 <= low <= high <= 1")
         if self.r_max <= 0.0:
             raise UsageError("r_max must be > 0")
-        if self.q_price <= 0.0:
-            raise UsageError("q_price must be > 0")
+        if self.k_price <= 0.0 or self.q_price <= 0.0:
+            raise UsageError("k_price and q_price must be > 0")
         if self.terminal_price_rule not in TERMINAL_PRICE_RULES:
             raise UsageError(f"terminal_price_rule must be one of {TERMINAL_PRICE_RULES}")
 

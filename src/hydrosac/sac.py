@@ -14,7 +14,7 @@ callable, which `trainer.play` calls once per week for all its years.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -138,16 +138,7 @@ class LossReport:
     mean_log_prob: float
 
     def finite(self):
-        return all(
-            np.isfinite(v)
-            for v in (
-                self.q1_loss,
-                self.q2_loss,
-                self.value_loss,
-                self.policy_loss,
-                self.mean_log_prob,
-            )
-        )
+        return all(np.isfinite(v) for v in astuple(self))
 
 
 class AgentBundle:

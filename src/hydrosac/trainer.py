@@ -11,13 +11,14 @@ stack, one matrix-vector product per row, so each year gets the bits it
 would get alone; a (years, 5) batch would run one matrix product, with
 other bits. Training plays one year at a time in one serialized loop
 driven by a single seeded generator; evaluation derives an independent
-generator per episode from (seed, episode index) and plays all its
-episodes together. A Checkpoint holds the live agent it describes: saving
-reads the agent's arrays in place, and loading builds the agent its config
-echo describes, once, and writes the stored arrays into it. On disk
-it is a JSON document whose floating point numbers are written as
-full-precision decimal strings, so a save/load round trip reproduces every
-64-bit value exactly.
+generator per episode from (seed, episode index), plays all its episodes
+together and returns one (episodes, 52, 8) array of weekly traces, whose
+last accumulated reward, traces[:, -1, 6], is each episode's total. A
+Checkpoint holds the live agent it describes: saving reads the agent's
+arrays in place, and loading builds the agent its config echo describes,
+once, and writes the stored arrays into it. On disk it is a JSON document
+whose floating point numbers are written as full-precision decimal
+strings, so a save/load round trip reproduces every 64-bit value exactly.
 """
 
 import dataclasses
@@ -64,6 +65,8 @@ class TrainConfig:
             raise UsageError("batch_size must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
+        if self.checkpoint_every_episodes < 0:
+            raise UsageError("checkpoint_every_episodes must be >= 0 (0 disables it)")
         self.env.validate()
         self.agent.validate()
 
@@ -77,23 +80,6 @@ class EpisodeRecord:
     total_spill: float
     mean_action: float
     seconds: float
-
-
-@dataclass
-class EvalEpisode:
-    index: int
-    total_reward: float
-    # (52, 8) columns: week, price, inflow, action, storage, reward,
-    # accumulated reward, spill
-    trace: np.ndarray
-
-
-@dataclass
-class EvalReport:
-    episodes: list
-
-    def total_rewards(self):
-        return np.array([e.total_reward for e in self.episodes])
 
 
 def config_from_dict(cls, doc, where):
@@ -264,37 +250,35 @@ def train(cfg, pools, checkpoint_path=None):
 def rollout(action_fn, scenarios, env_cfg, rngs):
     """Play the years `scenarios` with action_fn(obs_rows, rngs) -> actions.
 
-    Returns (totals, traces): each year's total reward, and a (years, 52, 8)
-    array whose rows are (week, price, inflow, effective action,
-    end-of-week storage, reward, accumulated reward, spill).
+    Returns the (years, 52, 8) float64 array of traces, whose rows are
+    (week, price, inflow, effective action, end-of-week storage, reward,
+    accumulated reward, spill); traces[:, -1, 6] is each year's total reward.
     """
     traces = np.empty((len(scenarios), WEEKS, 8))
-    totals = [0.0] * len(scenarios)
+    totals = [0.0] * len(scenarios)  # a sum from 0.0 turns a first reward of -0.0 into +0.0
     for i, state, _, _, outcome, _ in play(action_fn, scenarios, env_cfg, rngs):
         totals[i] += outcome.reward
         traces[i, state.week - 1] = (state.week, state.price, state.inflow,
                                      outcome.effective_action, outcome.end_storage,
                                      outcome.reward, totals[i], outcome.spill)
-    return totals, traces
+    return traces
 
 
 def evaluate_policy_fn(action_fn, pools, env_cfg, n_episodes, seed):
-    """Shared evaluation harness; episode i uses a generator derived from (seed, i).
+    """Shared evaluation harness; returns rollout's (n_episodes, 52, 8) traces.
 
-    Each episode's generator draws its scenario, then its start storage
-    and its actions; all episodes play together, one action_fn call a week.
+    Episode i uses a generator derived from (seed, i), which draws its
+    scenario, then its start storage and its actions; all episodes play
+    together, one action_fn call a week.
     """
     if n_episodes < 1:
         raise UsageError("n_episodes must be >= 1")
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_episodes)]
-    totals, traces = rollout(action_fn, [sample_scenario(pools, rng) for rng in rngs],
-                             env_cfg, rngs)
-    return EvalReport(episodes=[EvalEpisode(index=i, total_reward=total, trace=trace)
-                                for i, (total, trace) in enumerate(zip(totals, traces))])
+    return rollout(action_fn, [sample_scenario(pools, rng) for rng in rngs], env_cfg, rngs)
 
 
 def evaluate(ckpt, pools, n_episodes, deterministic, seed):
-    """Evaluate a checkpointed agent; no learning, no buffer writes.
+    """Evaluate a checkpointed agent into (n_episodes, 52, 8) traces; no learning.
 
     The environment configuration echoed in the checkpoint is used. With
     deterministic=True the policy's mean action is applied; otherwise
@@ -474,9 +458,12 @@ def load_checkpoint(path):
                 raise ValueError(f"{name} holds a non-finite value")
         replay = doc.get("replay")
         if replay is not None:
+            shapes = {"obs": (n, OBS_DIM), "actions": (n,), "rewards": (n,),
+                      "next_obs": (n, OBS_DIM), "done": (n,)}
+            if set(replay) - set(shapes):  # a missing array fails below, by its name
+                raise ValueError(f"replay has {sorted(replay)}; a buffer has {list(shapes)}")
             replay = {k: _decode_array(v) for k, v in replay.items()}
-            for name, shape in (("obs", (n, OBS_DIM)), ("actions", (n,)), ("rewards", (n,)),
-                                ("next_obs", (n, OBS_DIM)), ("done", (n,))):
+            for name, shape in shapes.items():
                 if replay[name].shape != shape:
                     raise ValueError(f"replay {name} has shape {replay[name].shape}, "
                                      f"expected {shape}")
@@ -497,9 +484,10 @@ def write_train_log(records, path):
     write_csv(path, TRAIN_LOG_HEADER, lines)
 
 
-def write_eval_csv(report, path):
+def write_eval_csv(traces, path):
+    """Write rollout's traces as CSV rows; episodes are numbered by position."""
     lines = []
-    for ep in report.episodes:
-        for row in ep.trace.tolist():
-            lines.append(f"{ep.index},{int(row[0])},{','.join(map(repr, row[1:7]))}")
+    for i, trace in enumerate(traces.tolist()):
+        for row in trace:
+            lines.append(f"{i},{int(row[0])},{','.join(map(repr, row[1:7]))}")
     write_csv(path, EVAL_HEADER, lines)

@@ -52,14 +52,14 @@ def baselines(artificial_pools):
     )
     const_means = {}
     for level in [round(0.1 * k, 1) for k in range(1, 11)]:
-        rep = evaluate_policy_fn(
+        traces = evaluate_policy_fn(
             constant_policy(level), artificial_pools, env_cfg, N_EVAL_EPISODES, EVAL_SEED
         )
-        const_means[level] = float(rep.total_rewards().mean())
+        const_means[level] = float(traces[:, -1, 6].mean())
     best_level = max(const_means, key=const_means.get)
     return {
-        "random_report": rand,
-        "random_mean": float(rand.total_rewards().mean()),
+        "random_traces": rand,
+        "random_mean": float(rand[:, -1, 6].mean()),
         "const_means": const_means,
         "best_const_level": best_level,
         "best_const_mean": const_means[best_level],
@@ -80,8 +80,8 @@ def trained_run(artificial_pools, baselines):
         t0 = time.perf_counter()
         ckpt, records = train(cfg, artificial_pools)
         train_seconds = time.perf_counter() - t0
-        rep = evaluate(ckpt, artificial_pools, N_EVAL_EPISODES, True, EVAL_SEED)
-        agent_mean = float(rep.total_rewards().mean())
+        traces = evaluate(ckpt, artificial_pools, N_EVAL_EPISODES, True, EVAL_SEED)
+        agent_mean = float(traces[:, -1, 6].mean())
         passed = (
             agent_mean >= 1.3 * baselines["random_mean"]
             and agent_mean >= 1.05 * baselines["best_const_mean"]
@@ -91,7 +91,7 @@ def trained_run(artificial_pools, baselines):
                 "seed": seed,
                 "ckpt": ckpt,
                 "records": records,
-                "report": rep,
+                "traces": traces,
                 "agent_mean": agent_mean,
                 "train_seconds": train_seconds,
                 "passed": passed,
@@ -327,9 +327,9 @@ class TestCriterion5LearningProgress:
 
 class TestCriterion6PriceFollowing:
     def test_action_price_correlation(self, trained_run):
-        traces = [ep.trace for ep in trained_run["report"].episodes]
-        prices = np.concatenate([t[:, 1] for t in traces])
-        actions = np.concatenate([t[:, 3] for t in traces])
+        traces = trained_run["traces"]
+        prices = traces[:, :, 1].ravel()
+        actions = traces[:, :, 3].ravel()
         corr = float(np.corrcoef(prices, actions)[0, 1])
         report(
             6,
@@ -340,12 +340,12 @@ class TestCriterion6PriceFollowing:
 
 class TestCriterion7TerminalWindow:
     def test_agent_ends_in_window_more_than_random(self, trained_run, baselines):
-        def window_fraction(rep):
-            ends = np.array([ep.trace[-1, 4] for ep in rep.episodes])
+        def window_fraction(traces):
+            ends = traces[:, -1, 4]
             return float(((ends >= 0.4) & (ends <= 0.6)).mean())
 
-        agent_frac = window_fraction(trained_run["report"])
-        random_frac = window_fraction(baselines["random_report"])
+        agent_frac = window_fraction(trained_run["traces"])
+        random_frac = window_fraction(baselines["random_traces"])
         report(
             7,
             agent_frac > random_frac,

@@ -499,6 +499,10 @@ def replay_without_done(doc):
     del zero_replay(doc)["done"]
 
 
+def replay_extra_array(doc):
+    zero_replay(doc)["extra"] = {"shape": [3], "values": ["0.0"] * 3}
+
+
 def replay_obs_flat(doc):
     zero_replay(doc)["obs"]["shape"] = [-1]
 
@@ -573,6 +577,9 @@ def unknown_optimizer(doc):
     (infinite_episode, "malformed checkpoint (cannot convert float infinity to integer)"),
     (negative_replay_size, "malformed checkpoint (episode 4 and replay_size -1 must be >= 0)"),
     (replay_without_done, "malformed checkpoint ('done')"),
+    (replay_extra_array, "malformed checkpoint (replay has ['actions', 'done', 'extra', "
+                         "'next_obs', 'obs', 'rewards']; a buffer has ['obs', 'actions', "
+                         "'rewards', 'next_obs', 'done'])"),
     (replay_obs_flat, "malformed checkpoint (replay obs has shape (15,), expected (3, 5))"),
     (replay_actions_column,
      "malformed checkpoint (replay actions has shape (3, 1), expected (3,))"),
@@ -1023,6 +1030,11 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("plan", [], None, "-3", 2, "seed must be >= 0"),
     ("train", ["--k-price", "nan"], None, None, 2, "k_price must be finite, got nan"),
     ("train", ["--q-price", "inf"], None, None, 2, "q_price must be finite, got inf"),
+    # (price * k) ** q would be complex
+    ("train", ["--k-price", "-1", "--q-price", "1.5"], None, None, 2,
+     "k_price and q_price must be > 0"),
+    ("train", ["--checkpoint-every", "-3"], None, None, 2,
+     "checkpoint_every_episodes must be >= 0 (0 disables it)"),
     ("train", ["--alpha", "nan"], None, None, 2, "alpha must be finite, got nan"),
     ("train", ["--lr-policy", "nan"], None, None, 2, "lr_policy must be finite, got nan"),
     ("train", [], {"train": {"agent": {"lr_q": float("inf")}}}, None, 2,
@@ -1048,7 +1060,8 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
     "train_seed_flag", "train_seed_file", "train_seed_env", "gen_seed_flag", "gen_seed_env",
     "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
-    "train_k_price_nan", "train_q_price_inf", "train_alpha_nan", "train_lr_policy_nan",
+    "train_k_price_nan", "train_q_price_inf", "train_k_price_negative",
+    "train_checkpoint_every_negative", "train_alpha_nan", "train_lr_policy_nan",
     "file_lr_q_inf", "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
     "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
     "plan_config_missing", "plan_scenario_config_missing", "plan_config_corrupt",

@@ -234,6 +234,31 @@ class TestTrain:
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
             assert digest[:16] == expected, f"{name} output changed ({VERSIONS})"
 
+    def test_reference_checkpoint_prints_the_csv_totals(self, reference_run, tmp_path, capsys):
+        # the printed totals come from the traces, the CSV from their rows: both must agree
+        out = tmp_path / "out.csv"
+        common = ["--checkpoint", str(reference_run / "ck.json"),
+                  "--pools", str(reference_run / "pools.json"), "--out", str(out)]
+
+        def rows():
+            lines = out.read_text().splitlines()[1:]
+            return [[float(x) for x in line.split(",")] for line in lines]
+
+        for mode in (["--deterministic"], []):
+            assert cli.main(["evaluate", "--episodes", "20", "--seed", "7", *mode, *common]) == 0
+            totals = np.array([row[7] for row in rows() if row[1] == 52])  # accumulated_reward
+            assert len(totals) == 20
+            assert capsys.readouterr().out.splitlines()[:2] == [
+                "episodes: 20",
+                f"mean total reward: {totals.mean():.3f} "
+                f"(min {totals.min():.3f}, max {totals.max():.3f})",
+            ]
+        assert cli.main(["plan", "--seed", "3", *common]) == 0
+        total = 0.0
+        for row in rows():  # the reward column, in week order
+            total += row[7]
+        assert capsys.readouterr().out.splitlines()[0] == f"total reward: {total:.3f}"
+
     def test_rejects_nonfinite_settings(self, pools):
         for cfg in (small_cfg(env=EnvConfig(k_price=float("nan"))),
                     small_cfg(env=EnvConfig(q_price=float("inf"))),
@@ -571,29 +596,27 @@ class TestEvaluate:
         _, ckpt, _ = trained
         r1 = evaluate(ckpt, pools, 3, True, seed=4)
         r2 = evaluate(ckpt, pools, 3, True, seed=4)
-        for e1, e2 in zip(r1.episodes, r2.episodes):
-            assert e1.total_reward == e2.total_reward
-            assert np.array_equal(e1.trace, e2.trace)
+        for e1, e2 in zip(r1, r2):
+            assert e1[-1, 6] == e2[-1, 6]
+            assert np.array_equal(e1, e2)
 
     def test_trace_shape_and_count(self, trained, pools):
         _, ckpt, _ = trained
-        report = evaluate(ckpt, pools, 5, True, seed=1)
-        assert len(report.episodes) == 5
-        for ep in report.episodes:
-            assert ep.trace.shape == (52, 8)
-            assert np.array_equal(ep.trace[:, 0], np.arange(1, 53))
+        traces = evaluate(ckpt, pools, 5, True, seed=1)
+        assert traces.shape == (5, 52, 8) and traces.dtype == np.float64
+        for trace in traces:
+            assert np.array_equal(trace[:, 0], np.arange(1, 53))
 
     def test_accumulated_reward_is_prefix_sum(self, trained, pools):
         _, ckpt, _ = trained
-        report = evaluate(ckpt, pools, 3, True, seed=2)
-        for ep in report.episodes:
-            assert np.array_equal(ep.trace[:, 6], np.cumsum(ep.trace[:, 5]))
+        for trace in evaluate(ckpt, pools, 3, True, seed=2):
+            assert np.array_equal(trace[:, 6], np.cumsum(trace[:, 5]))
 
     def test_stochastic_differs_across_seeds(self, trained, pools):
         _, ckpt, _ = trained
         r1 = evaluate(ckpt, pools, 2, False, seed=1)
         r2 = evaluate(ckpt, pools, 2, False, seed=99)
-        assert not np.array_equal(r1.episodes[0].trace, r2.episodes[0].trace)
+        assert not np.array_equal(r1[0], r2[0])
 
     def test_does_not_mutate_checkpoint(self, trained, pools):
         _, ckpt, _ = trained
@@ -610,10 +633,8 @@ class TestEvaluate:
             terminal_low=0.0, terminal_high=0.0,  # window never pays
         )
         scn = Scenario(prices=np.full(52, 0.8), inflows=np.zeros(52))
-        (total,), (trace,) = rollout(
-            constant_policy(0.5), [scn], env_cfg, [np.random.default_rng(0)]
-        )
-        assert total == pytest.approx(0.5 * 1000.0 * 0.8, rel=1e-9)
+        (trace,) = rollout(constant_policy(0.5), [scn], env_cfg, [np.random.default_rng(0)])
+        assert trace[-1, 6] == pytest.approx(0.5 * 1000.0 * 0.8, rel=1e-9)
         # weeks with ample storage earn exactly 0.5 * f_max * r_max * y
         assert trace[0, 5] == pytest.approx(0.5 * 0.03 * 1000.0 * 0.8, rel=1e-12)
 
@@ -621,9 +642,9 @@ class TestEvaluate:
         env_cfg = EnvConfig()
         r1 = evaluate_policy_fn(constant_policy(0.3), pools, env_cfg, 4, seed=11)
         r2 = evaluate_policy_fn(random_policy, pools, env_cfg, 4, seed=11)
-        for e1, e2 in zip(r1.episodes, r2.episodes):
-            assert np.array_equal(e1.trace[:, 1], e2.trace[:, 1])  # prices
-            assert np.array_equal(e1.trace[:, 2], e2.trace[:, 2])  # inflows
+        for e1, e2 in zip(r1, r2):
+            assert np.array_equal(e1[:, 1], e2[:, 1])  # prices
+            assert np.array_equal(e1[:, 2], e2[:, 2])  # inflows
 
 
     @pytest.mark.parametrize("n", [1, 7, 37])
@@ -633,10 +654,10 @@ class TestEvaluate:
         # each stepped by hand, the policy acting on a (1, 5) batch
         ckpt = load_checkpoint(reference_run / "ck.json")
         pools = sc.load_pools(reference_run / "pools.json")
-        report = evaluate(ckpt, pools, n, deterministic, seed=41)
+        traces = evaluate(ckpt, pools, n, deterministic, seed=41)
         policy, env_cfg = ckpt.agent.policy, ckpt.config.env
-        assert [ep.index for ep in report.episodes] == list(range(n))
-        for ep, seq in zip(report.episodes, np.random.SeedSequence(41).spawn(n)):
+        assert traces.shape == (n, 52, 8)
+        for trace, seq in zip(traces, np.random.SeedSequence(41).spawn(n)):
             rng = np.random.default_rng(seq)
             scn = tr.sample_scenario(pools, rng)
             state = env.reset(env_cfg, scn, rng)
@@ -649,19 +670,19 @@ class TestEvaluate:
                 rows.append((state.week, state.price, state.inflow, out.effective_action,
                              out.end_storage, out.reward, total, out.spill))
                 state = out.next_state
-            assert np.array_equal(bits(ep.trace), bits(np.array(rows)))
-            assert bits(ep.total_reward) == bits(total)
+            assert np.array_equal(bits(trace), bits(np.array(rows)))
+            assert bits(trace[-1, 6]) == bits(total)
 
     def test_episodes_do_not_depend_on_how_many_play(self, trained, pools):
         _, ckpt, _ = trained
         env_cfg = ckpt.config.env
         for action_fn in (tr.policy_action_fn(ckpt.agent.policy, True),
                           tr.policy_action_fn(ckpt.agent.policy, False), random_policy):
-            seven = evaluate_policy_fn(action_fn, pools, env_cfg, 7, seed=43).episodes
-            three = evaluate_policy_fn(action_fn, pools, env_cfg, 3, seed=43).episodes
+            seven = evaluate_policy_fn(action_fn, pools, env_cfg, 7, seed=43)
+            three = evaluate_policy_fn(action_fn, pools, env_cfg, 3, seed=43)
             for a, b in zip(seven[:3], three, strict=True):
-                assert a.index == b.index and bits(a.total_reward) == bits(b.total_reward)
-                assert np.array_equal(bits(a.trace), bits(b.trace))
+                assert bits(a[-1, 6]) == bits(b[-1, 6])
+                assert np.array_equal(bits(a), bits(b))
 
     def test_policy_fn_harness_rejects_no_episodes(self, pools):
         with pytest.raises(UsageError, match="n_episodes must be >= 1"):
@@ -698,15 +719,17 @@ class TestCsvWriters:
 
     def test_eval_csv_format(self, trained, pools, tmp_path):
         _, ckpt, _ = trained
-        report = evaluate(ckpt, pools, 2, True, seed=5)
+        traces = evaluate(ckpt, pools, 2, True, seed=5)
         path = tmp_path / "eval.csv"
-        write_eval_csv(report, path)
+        write_eval_csv(traces, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == tr.EVAL_HEADER
         assert len(lines) == 2 * 52 + 1
         row = lines[1].split(",")
         assert row[:2] == ["0", "1"]
         assert len(row) == 8
+        # episodes are numbered by their position in the traces
+        assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 52 + ["1"] * 52
 
 
 class TestConfigDict:
