@@ -18,14 +18,13 @@ returns the gradient with respect to the input (needed to push Q gradients
 through actions). The policy network adds a squashed-Gaussian head pair on
 top of a shared trunk: it emits a mean and a clamped log standard
 deviation, samples with reparameterized noise, and squashes through a
-sigmoid so actions stay in (0, 1).
+sigmoid so actions stay in (0, 1). The squash, its log density and its
+reverse pass are here too, as vectorized numpy with one value per row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _kernels as K
 
 RELU = "relu"
 LINEAR = "linear"
@@ -37,6 +36,11 @@ LOG_STD_MAX = 2.0
 # Additive floor inside the squash-correction logarithm; keeps log
 # probabilities finite when the sigmoid saturates.
 SQUASH_PROB_FLOOR = 3e-6
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Keeps sigmoid outputs strictly inside (0, 1) in 64-bit arithmetic.
+ACTION_MARGIN = 1e-12
 
 
 @dataclass
@@ -244,6 +248,34 @@ def rmsprop_step(params, grads, state, lr):
     params -= u
 
 
+def _sigmoid(z):
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    # overflows; `where` picks the branch per element. The lower branch takes
+    # exp of z itself, not of -|z|, so that a NaN keeps its sign bit.
+    # np.minimum(np.maximum()) is np.clip without its per-call wrapper cost.
+    pos = z >= 0.0
+    e = np.exp(np.where(pos, -z, z))
+    d = 1.0 + e
+    return np.minimum(np.maximum(np.where(pos, 1.0 / d, e / d), ACTION_MARGIN),
+                      1.0 - ACTION_MARGIN)
+
+
+def squash_sample(mean, log_std, noise, prob_floor):
+    """(action, log_prob, pre_squash, std) of sigmoid(mean + exp(log_std) * noise), per row;
+    std saves the reverse pass an exp."""
+    std = np.exp(log_std)
+    z = mean + std * noise
+    action = _sigmoid(z)
+    sig_grad = action * (1.0 - action)
+    log_prob = (
+        -0.5 * noise * noise
+        - log_std
+        - 0.5 * LOG_2PI
+        - np.log(sig_grad + prob_floor)
+    )
+    return action, log_prob, z, std
+
+
 def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
     """Log density at `action` of sigmoid(Normal(mean, exp(log_std))).
 
@@ -257,7 +289,7 @@ def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
     return (
         -0.5 * u * u
         - log_std
-        - 0.5 * K.LOG_2PI
+        - 0.5 * LOG_2PI
         - np.log(action * (1.0 - action) + prob_floor)
     )
 
@@ -328,7 +360,7 @@ class PolicyNet:
         acting = obs.ndim == 3
         noise = (np.array([r.standard_normal() for r in rng]) if acting
                  else rng.standard_normal(mean.shape[0]))
-        action, log_prob, z, std = K.squash_sample(mean, log_std, noise, self.prob_floor)
+        action, log_prob, z, std = squash_sample(mean, log_std, noise, self.prob_floor)
         self._sample_cache = None if acting else (action, std, noise)
         return action, log_prob, z
 
@@ -343,7 +375,7 @@ class PolicyNet:
         if obs.ndim == 3:
             self._sample_cache = None
         h = self.trunk.forward(obs)
-        return K._sigmoid(self.mean_head.forward(h).reshape(-1))
+        return _sigmoid(self.mean_head.forward(h).reshape(-1))
 
     def backward_sample(self, g_action, g_log_prob):
         """Backprop through the most recent sample() of a (rows, 5) batch.
@@ -356,11 +388,15 @@ class PolicyNet:
             raise RuntimeError("backward_sample called without a cached sample")
         action, std, noise = self._sample_cache
         self._sample_cache = None
-        g_mean, g_log_std = K.squash_backward(
-            g_action, g_log_prob, action, std, noise, self.prob_floor)
+        # z = mean + std * noise gives the action sigmoid(z) and log_prob's -log(sig_grad + floor):
+        # d/dmean is d/dz, and d/dlog_std is d/dz * std * noise plus log_prob's own -log_std
+        sig_grad = action * (1.0 - action)
+        correction = sig_grad * (1.0 - 2.0 * action) / (sig_grad + self.prob_floor)
+        g_mean = g_action * sig_grad - g_log_prob * correction
         raw = self._raw_log_std
         # a clamped log-std passes no gradient
-        g_log_std = g_log_std * ((raw >= self.log_std_min) & (raw <= self.log_std_max))
+        g_log_std = ((g_mean * std * noise - g_log_prob)
+                     * ((raw >= self.log_std_min) & (raw <= self.log_std_max)))
         dh_mean = self.mean_head.backward(g_mean[:, None], to_input=True)
         dh_ls = self.log_std_head.backward(g_log_std[:, None], to_input=True)
         self.trunk.backward(dh_mean + dh_ls)

@@ -6,7 +6,9 @@ temperature: both Q networks regress on reward + gamma * (1 - done) *
 V_target(next_obs); the value network regresses on min_k Q_k(obs, a~) -
 alpha * log pi(a~|obs) with fresh reparameterized actions a~; the policy
 ascends min_k Q_k(obs, a~) - alpha * log pi(a~|obs) through a~; the target
-value network trails the value network by Polyak averaging.
+value network trails the value network by Polyak averaging. The Bellman
+target is computed here; the networks, the squash and its reverse pass,
+and the optimizer step are in neural.py.
 
 Acting is not done here: training, evaluation and planning wrap
 `policy.sample` or `policy.mean_action` in an `(obs_rows, rngs) -> actions`
@@ -18,7 +20,6 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import _kernels as K
 from .env import UsageError, require_finite
 from .neural import (
     LINEAR,
@@ -127,6 +128,13 @@ class SacConfig:
             raise UsageError("tau must be in (0, 1]")
         if self.hidden_width < 1:
             raise UsageError("hidden_width must be >= 1")
+        for name in ("lr_value", "lr_q", "lr_policy"):  # < 0 would be gradient ascent
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
+        if not 0.0 <= self.rmsprop_rho < 1.0:
+            raise UsageError("rmsprop_rho must be in [0, 1)")
+        if self.log_std_min > self.log_std_max:
+            raise UsageError("log_std_min must be <= log_std_max")
 
 
 @dataclass
@@ -204,7 +212,7 @@ def compute_q_targets(batch, value_target, gamma):
     """Soft Bellman targets: reward + gamma * (1 - done) * V_target(next_obs)."""
     _, _, rewards, next_obs, done = batch
     v_next = value_target.forward(next_obs)[:, 0]
-    return K.q_target(rewards, done, v_next, gamma)
+    return rewards + gamma * (1.0 - done) * v_next
 
 
 def update(agent, batch, rng):

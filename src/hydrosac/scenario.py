@@ -238,8 +238,9 @@ def generate_artificial_pools(cfg, seed, mode=ARTIFICIAL):
     """Build pools from the synthetic profiles plus multiplicative noise.
 
     Each weekly sample is profile * (1 + noise * u) with u ~ Uniform[-1, 1].
-    Prices are then renormalized by their global maximum (so the noise-free
-    high season sits exactly at 1.0); inflows are clipped to [0, 1].
+    Prices are then divided by the largest noisy price, so the largest is 1.0
+    and the noise-free high level sits below it, at about 1 / (1 + price_noise);
+    price_max records price_high, not that divisor. Inflows are clipped to [0, 1].
     """
     cfg.validate()
     rng = np.random.default_rng(seed)

@@ -133,17 +133,20 @@ class Checkpoint:
 
     @property
     def networks(self):
-        """Name -> [(weight (out, in), bias, activation), ...], as views into the agent."""
+        """Name -> [(weight (out, in), bias, activation), ...], as views into the agent;
+        kept for perfbench's checkpoint round-trip check, as the program reads `agent`."""
         return {name: [(l.weight, l.bias, l.activation) for l in net.layers]
                 for name, net in self.agent.networks().items()}
 
     @property
     def optimizer_states(self):
-        """Name -> accumulator arrays, one per parameter array, as views into the agent."""
+        """Name -> accumulator arrays, one per parameter array, as views into the agent;
+        kept for perfbench's checkpoint round-trip check, as the program reads `agent`."""
         return {name: opt.arrays for name, opt in self.agent.optimizers().items()}
 
     def restore_agent(self):
-        """The checkpoint's agent itself, not a copy."""
+        """The checkpoint's agent itself, not a copy; kept for perfbench's checkpoint
+        round-trip check, as the program reads `agent`."""
         return self.agent
 
 
@@ -381,12 +384,12 @@ def save_checkpoint(ckpt, path):
         "version": ckpt.version,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
-            name: [{"rows": w.shape[0], "cols": w.shape[1], "weights": w, "bias": b,
-                    "activation": act} for w, b, act in layers]
-            for name, layers in ckpt.networks.items()
+            name: [{"rows": l.weight.shape[0], "cols": l.weight.shape[1], "weights": l.weight,
+                    "bias": l.bias, "activation": l.activation} for l in net.layers]
+            for name, net in ckpt.agent.networks().items()
         },
-        "optimizer_states": {name: list(map(array, accs))
-                             for name, accs in ckpt.optimizer_states.items()},
+        "optimizer_states": {name: list(map(array, opt.arrays))
+                             for name, opt in ckpt.agent.optimizers().items()},
         "rng_state": ckpt.rng_state,
         "episode": ckpt.episode,
         "replay_size": ckpt.replay_size,

@@ -428,6 +428,14 @@ def echo_k_price_huge_int(doc):
     doc["config"]["env"]["k_price"] = 10**400
 
 
+def echo_lr_q_negative(doc):
+    doc["config"]["agent"]["lr_q"] = -0.5
+
+
+def echo_rmsprop_rho_one(doc):
+    doc["config"]["agent"]["rmsprop_rho"] = 1.0
+
+
 def nan_policy_weight(doc):
     doc["networks"]["policy_mean_head"][0]["weights"][3] = "nan"
 
@@ -562,6 +570,8 @@ def unknown_optimizer(doc):
     (echo_f_max_text, "f_max must be float, got 'abc'"),
     (echo_alpha_nan, "alpha must be finite, got nan"),
     (echo_k_price_huge_int, "k_price must be finite, got 1000"),
+    (echo_lr_q_negative, "lr_q must be >= 0"),
+    (echo_rmsprop_rho_one, "rmsprop_rho must be in [0, 1)"),
     (nan_policy_weight, "network policy holds a non-finite value"),
     (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
     (no_value_target_network, "'value_target'"),
@@ -1039,6 +1049,18 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("train", ["--lr-policy", "nan"], None, None, 2, "lr_policy must be finite, got nan"),
     ("train", [], {"train": {"agent": {"lr_q": float("inf")}}}, None, 2,
      "lr_q must be finite, got inf"),
+    # a negative learning rate trains by gradient ascent
+    ("train", ["--lr-q", "-0.5"], None, None, 2, "lr_q must be >= 0"),
+    ("train", ["--lr-policy", "-1"], None, None, 2, "lr_policy must be >= 0"),
+    ("train", ["--lr-value", "-0.001"], None, None, 2, "lr_value must be >= 0"),
+    ("train", [], {"train": {"agent": {"rmsprop_rho": 1.5}}}, None, 2,
+     "rmsprop_rho must be in [0, 1)"),
+    ("train", [], {"train": {"agent": {"rmsprop_rho": 1}}}, None, 2,
+     "rmsprop_rho must be in [0, 1)"),
+    ("train", [], {"train": {"agent": {"rmsprop_rho": -0.5}}}, None, 2,
+     "rmsprop_rho must be in [0, 1)"),
+    ("train", [], {"train": {"agent": {"log_std_min": 3, "log_std_max": -3}}}, None, 2,
+     "log_std_min must be <= log_std_max"),
     ("train", ["--pools", "{pools}", "--r-max", "nan"], None, None, 2,
      "r_max must be finite, got nan"),
     ("train", ["--pools", "{pools}", "--r-max", "inf"], None, None, 2,
@@ -1062,7 +1084,10 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "evaluate_seed_flag", "evaluate_seed_env", "plan_seed_flag", "plan_seed_env",
     "train_k_price_nan", "train_q_price_inf", "train_k_price_negative",
     "train_checkpoint_every_negative", "train_alpha_nan", "train_lr_policy_nan",
-    "file_lr_q_inf", "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
+    "file_lr_q_inf", "train_lr_q_negative", "train_lr_policy_negative",
+    "train_lr_value_negative", "file_rmsprop_rho_above_one", "file_rmsprop_rho_one",
+    "file_rmsprop_rho_negative", "file_log_std_bounds_crossed", "train_pools_r_max_nan",
+    "train_pools_r_max_inf", "train_annual_inflow_inf",
     "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
     "plan_config_missing", "plan_scenario_config_missing", "plan_config_corrupt",
     "plan_scenario_config_corrupt",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hydrosac._kernels import ACTION_MARGIN, _sigmoid, squash_sample
 from hydrosac.neural import (
+    ACTION_MARGIN,
     LINEAR,
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -14,8 +14,10 @@ from hydrosac.neural import (
     Mlp,
     PolicyNet,
     RmspropState,
+    _sigmoid,
     mlp_init,
     rmsprop_step,
+    squash_sample,
     squashed_log_prob,
 )
 

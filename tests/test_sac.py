@@ -15,6 +15,7 @@ from hydrosac.sac import (
     polyak_update,
     update,
 )
+from test_neural import fd_gradients
 
 OBS = np.linspace(0.1, 0.9, 5)
 NEXT_OBS = np.linspace(0.2, 1.0, 5)
@@ -49,6 +50,16 @@ def snapshot(agent):
         + agent.value.parameters()
         + agent.value_target.parameters()
     )]
+
+
+@pytest.mark.parametrize("fields", [
+    {"lr_value": 0.0, "lr_q": 0.0, "lr_policy": 0.0},
+    {"rmsprop_rho": 0.0},
+    {"log_std_min": 0.5, "log_std_max": 0.5},
+], ids=["zero_rates", "rho_zero", "log_std_fixed"])
+def test_config_edges_are_valid(fields):
+    """The closed ends of validate's ranges; test_cli.py's exit-2 table has the rejections."""
+    SacConfig(**fields).validate()
 
 
 class TestReplayBuffer:
@@ -365,3 +376,99 @@ class TestUpdate:
             assert v >= 0.0
         assert np.isfinite(report.policy_loss)
         assert np.isfinite(report.mean_log_prob)
+
+
+class TestLossGradients:
+    """The gradient each of update()'s four RMSprop steps receives equals central
+    finite differences of that step's documented loss, at the parameters it sees.
+
+    The losses are written out here from the soft actor-critic definitions,
+    with their own squash and clamp, using only the networks' forward passes:
+    - Q_k: mean (Q_k(obs, a) - y)^2 with y = r + gamma (1 - done) V_target(next_obs) fixed;
+    - V: mean (V(obs) - t)^2 with t = min(Q1, Q2)(obs, a~) - alpha log pi(a~) fixed, where
+      a~ is the fresh sample and the Qs are the stepped ones;
+    - policy: mean (alpha log pi(a~) - min(Q1, Q2)(obs, a~)) with the noise fixed.
+    The batch sends some rows to each Q and a wide head scale with a narrow
+    log-std range clamps some rows' log-std, so the min routing, the clamp
+    mask and g_log_pi = alpha / n are all on the path; the test asserts both.
+    """
+
+    N = 10
+
+    def run_update(self, monkeypatch, seed):
+        cfg = SacConfig(hidden_width=6, init_bound=1.0, gamma=0.9, alpha=0.3,
+                        log_std_min=-0.4, log_std_max=0.4)
+        agent = AgentBundle.init(cfg, np.random.default_rng(seed))
+        # observations far outside [0, 1] and equal output biases make the
+        # two Qs cross between rows
+        agent.q2.layers[-1].bias[...] = agent.q1.layers[-1].bias
+        rng = np.random.default_rng(seed + 1)
+        batch = (rng.normal(0.0, 5.0, (self.N, 5)), rng.uniform(0.05, 0.95, self.N),
+                 rng.uniform(-1.0, 2.0, self.N), rng.random((self.N, 5)),
+                 (rng.random(self.N) < 0.3).astype(float))
+        steps = []
+        step = sac_mod.rmsprop_step
+
+        def recording(params, grads, state, lr):
+            steps.append((state, grads.copy(), copy.deepcopy(agent)))
+            step(params, grads, state, lr)
+
+        monkeypatch.setattr(sac_mod, "rmsprop_step", recording)
+        update(agent, batch, np.random.default_rng(seed + 2))
+        noise = np.random.default_rng(seed + 2).standard_normal(self.N)  # sample()'s draw
+        assert [s for s, _, _ in steps] == [agent.opt_q1, agent.opt_q2, agent.opt_value,
+                                            agent.opt_policy]
+        return cfg, batch, noise, [(g, snap) for _, g, snap in steps]
+
+    @staticmethod
+    def squash(policy, obs, noise, cfg):
+        h = policy.trunk.forward(obs)
+        mean = policy.mean_head.forward(h)[:, 0]
+        raw = policy.log_std_head.forward(h)[:, 0]
+        log_std = np.clip(raw, cfg.log_std_min, cfg.log_std_max)
+        action = 1.0 / (1.0 + np.exp(-(mean + np.exp(log_std) * noise)))
+        log_pi = (-0.5 * noise ** 2 - log_std - 0.5 * np.log(2.0 * np.pi)
+                  - np.log(action * (1.0 - action) + cfg.squash_prob_floor))
+        return action, log_pi, raw
+
+    @staticmethod
+    def min_q(agent, obs, action):
+        qa = np.concatenate([obs, action[:, None]], axis=1)
+        return np.minimum(agent.q1.forward(qa)[:, 0], agent.q2.forward(qa)[:, 0])
+
+    @staticmethod
+    def assert_close(analytic, params, loss):
+        numeric = fd_gradients([params], loss)[0]
+        assert np.abs(numeric).max() > 1e-3  # the loss depends on these parameters
+        error = np.abs(analytic - numeric).max()
+        assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8), error
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_each_step_gets_the_gradient_of_its_loss(self, monkeypatch, seed):
+        cfg, (obs, actions, rewards, next_obs, done), noise, steps = \
+            self.run_update(monkeypatch, seed)
+        (g_q1, at_q1), (g_q2, at_q2), (g_v, at_v), (g_pi, at_pi) = steps
+
+        y = rewards + cfg.gamma * (1.0 - done) * at_q1.value_target.forward(next_obs)[:, 0]
+        qa = np.concatenate([obs, actions[:, None]], axis=1)
+        for grads, snap, name in ((g_q1, at_q1, "q1"), (g_q2, at_q2, "q2")):
+            net = getattr(snap, name)
+            self.assert_close(grads, net.params,
+                              lambda: np.mean((net.forward(qa)[:, 0] - y) ** 2))
+
+        action, log_pi, raw = self.squash(at_v.policy, obs, noise, cfg)
+        t = self.min_q(at_v, obs, action) - cfg.alpha * log_pi
+        self.assert_close(g_v, at_v.value.params,
+                          lambda: np.mean((at_v.value.forward(obs)[:, 0] - t) ** 2))
+
+        def policy_loss():
+            a, lp, _ = self.squash(at_pi.policy, obs, noise, cfg)
+            return np.mean(cfg.alpha * lp - self.min_q(at_pi, obs, a))
+
+        self.assert_close(g_pi, at_pi.policy.params, policy_loss)
+        # the cases this test exists for are all present
+        clamped = (raw < cfg.log_std_min) | (raw > cfg.log_std_max)
+        assert clamped.any() and not clamped.all()
+        qa_new = np.concatenate([obs, action[:, None]], axis=1)
+        pick_q1 = at_pi.q1.forward(qa_new)[:, 0] <= at_pi.q2.forward(qa_new)[:, 0]
+        assert pick_q1.any() and not pick_q1.all()

@@ -9,7 +9,8 @@ alone turns a DataError into exit 4 and a UsageError or OSError into exit
 2; a handler elsewhere in cli.py that caught one could give it another
 code. Every simulated year is stepped by `trainer.play`, the one episode
 loop, so no second loop can drift from it. The numeric code keeps to
-numpy's exp and log, whose bits the digests pin.
+numpy's exp and log, whose bits the digests pin. `_kernels` only names the
+backend for the benchmark's environment record, so no module imports it.
 """
 
 import ast
@@ -93,16 +94,29 @@ def test_only_main_turns_failures_into_exit_codes():
         "DataError", "UsageError", "OSError"}
 
 
+def imports(tree):
+    """Yield each module name that `tree` imports, with a relative import's
+    dots dropped and `from . import x` giving x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
 def test_numeric_code_does_not_import_math():
     # math.exp and math.log differ from numpy's on some inputs only, so a
     # float path through them could pass a small test and change a digest
-    for name in ("neural.py", "_kernels.py"):
-        path = Path(hydrosac.__file__).parent / name
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            assert "math" not in {m.split(".")[0] for m in modules}, f"{name} imports math"
+    trees = dict(program_trees())
+    for name in ("neural", "sac"):
+        modules = {m.split(".")[0] for m in imports(trees[name])}
+        assert "math" not in modules, f"{name}.py imports math"
+
+
+def test_no_module_imports_kernels():
+    importers = {module for module, tree in program_trees()
+                 if any(m.split(".")[-1] == "_kernels" for m in imports(tree))}
+    assert not importers, f"modules that import _kernels: {sorted(importers)}"
