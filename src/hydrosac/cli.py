@@ -5,10 +5,11 @@ flag sets one config field; values merge with precedence CLI flag >
 --config file > built-in default and are type-checked against the config
 dataclasses (an int is fine for a float field). The environment variable
 HYDROSAC_SEED supplies the seed when nothing else does. Exit codes: 0
-success, 2 a bad setting or a file that cannot be read or written (any
-UsageError or OSError), 3 training aborted on a non-finite loss, 4 an input
-file that does not decode or validate (any DataError; a CheckpointError is
-one). Only main turns an exception into an exit code.
+success, 2 a bad setting, a file that cannot be read or written, or a size
+too large to allocate (any UsageError, OSError or MemoryError), 3 training
+aborted on a non-finite loss, 4 an input file that does not decode or
+validate (any DataError; a CheckpointError is one). Only main turns an
+exception into an exit code.
 """
 
 import argparse
@@ -326,12 +327,10 @@ def cmd_plan(args):
     env_cfg = ckpt.config.env
     (trace,) = tr.rollout(tr.policy_action_fn(ckpt.agent.policy, True), [scn], env_cfg,
                           [np.random.default_rng(seed)])
-    lines = []
-    for week, price, inflow, action, storage, reward, _, spill in trace.tolist():
-        release = action * env_cfg.f_max * env_cfg.r_max
-        values = (price, inflow, action, release, storage, spill, reward)
-        lines.append(f"{int(week)},{','.join(map(repr, values))}")
-    sc.write_csv(args.out, PLAN_HEADER, lines)
+    sc.write_csv(args.out, PLAN_HEADER, (
+        (int(week), price, inflow, action, action * env_cfg.f_max * env_cfg.r_max, storage,
+         spill, reward)
+        for week, price, inflow, action, storage, reward, _, spill in trace.tolist()))
     print(f"total reward: {trace[-1, 6]:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -383,7 +382,7 @@ def main(argv=None):
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CORRUPT
-    except (UsageError, OSError) as e:
+    except (UsageError, OSError, MemoryError) as e:  # MemoryError: a size numpy cannot allocate
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,22 +54,23 @@ class TrainingAborted(RuntimeError):
 class ReplayBuffer:
     """Transition store in five arrays of `capacity` rows, allocated once; nothing is evicted.
 
-    Rows fill in push order. A push past capacity raises IndexError and
-    stores nothing.
+    ROWS names the arrays, in the order of a sampled batch, with the shape
+    of one row of each. Rows fill in push order. A push past capacity
+    raises IndexError and stores nothing.
     """
+
+    ROWS = {"obs": (OBS_DIM,), "actions": (), "rewards": (), "next_obs": (OBS_DIM,), "done": ()}
 
     def __init__(self, capacity):
         self._size = 0
-        self.obs = np.empty((capacity, OBS_DIM))
-        self.actions = np.empty(capacity)
-        self.rewards = np.empty(capacity)
-        self.next_obs = np.empty((capacity, OBS_DIM))
-        self.done = np.empty(capacity)
+        for name, row in self.ROWS.items():
+            setattr(self, name, np.empty((capacity, *row)))
 
     def __len__(self):
         return self._size
 
     def push(self, obs, action, reward, next_obs, done):
+        # one store per array, not a loop over ROWS: push runs every environment week
         i = self._size
         self.obs[i] = obs
         self.actions[i] = action
@@ -79,27 +80,14 @@ class ReplayBuffer:
         self._size += 1
 
     def sample_arrays(self, batch_size, rng):
-        """Uniform draws with replacement, as batch arrays for update()."""
+        """Uniform draws with replacement, as batch arrays for update(), in ROWS order."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
-        return (
-            self.obs[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_obs[idx],
-            self.done[idx],
-        )
+        return tuple(getattr(self, name)[idx] for name in self.ROWS)
 
     def export_arrays(self):
-        n = self._size
-        return {
-            "obs": self.obs[:n].copy(),
-            "actions": self.actions[:n].copy(),
-            "rewards": self.rewards[:n].copy(),
-            "next_obs": self.next_obs[:n].copy(),
-            "done": self.done[:n].copy(),
-        }
+        return {name: getattr(self, name)[:self._size].copy() for name in self.ROWS}
 
 
 @dataclass

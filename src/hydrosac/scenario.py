@@ -118,15 +118,7 @@ def load_csv_series(path, kind):
     if kind not in KINDS:
         raise DataError(f"unknown series kind {kind!r}")
     points = []
-    for lineno, row in read_csv(path, "year,week,value"):
-        if len(row) != 3:
-            raise DataError(f"{path}: malformed row at line {lineno}")
-        try:
-            year = int(row[0])
-            week = int(row[1])
-            value = float(row[2])
-        except ValueError:
-            raise DataError(f"{path}: malformed row at line {lineno}") from None
+    for lineno, (year, week, value) in read_csv(path, "year,week,value", (int, int, float)):
         if not 1 <= week <= WEEKS:
             raise DataError(f"{path}: week out of range at line {lineno}")
         if not np.isfinite(value) or value < 0:
@@ -139,13 +131,7 @@ def load_csv_series(path, kind):
 
 def load_scenario_csv(path):
     """Read a `week,price,inflow` CSV holding each of the 52 weeks once into a Scenario."""
-    rows = []
-    for lineno, row in read_csv(path, "week,price,inflow"):
-        try:
-            week, price, inflow = row
-            rows.append((int(week), float(price), float(inflow)))
-        except ValueError:  # also a row of other than three fields
-            raise DataError(f"{path}: malformed row at line {lineno}") from None
+    rows = [row for _, row in read_csv(path, "week,price,inflow", (int, float, float))]
     rows.sort()
     if [r[0] for r in rows] != list(range(1, WEEKS + 1)):
         raise DataError(f"{path}: scenario must contain weeks 1..{WEEKS} exactly once each")
@@ -305,14 +291,18 @@ def read_json(path, error=DataError, object_pairs_hook=None):
             raise error(f"{path} is not valid JSON ({e})") from None
 
 
-def read_csv(path, header):
-    """Yield (line number, fields) per row of the CSV file at `path` with a non-blank field.
+def read_csv(path, header, types):
+    """Yield (line number, typed fields) per row of the CSV file at `path` with a non-blank field.
 
-    Every CSV input is read here, so every reader skips blank and
+    Every CSV input is read and typed here, so every reader skips blank and
     whitespace-only lines alike. Line 1 must be `header`, such as
-    "year,week,value" (case and spaces around a name aside). Non-UTF-8
-    text and what the csv module rejects (a field over 131,072 characters)
-    raise DataError naming `path`; a missing or unreadable file raises OSError.
+    "year,week,value" (case and spaces around a name aside). Each row's
+    fields are converted by `types`, one callable per field, such as
+    (int, int, float); a row with another field count, or a field its
+    callable rejects with ValueError, raises DataError naming `path` and
+    the row's line. Non-UTF-8 text and what the csv module rejects (a field
+    over 131,072 characters) raise DataError naming `path`; a missing or
+    unreadable file raises OSError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -321,8 +311,13 @@ def read_csv(path, header):
             if first is None or [c.strip().lower() for c in first] != header.split(","):
                 raise DataError(f"{path}: expected header '{header}'")
             for lineno, row in enumerate(rows, start=2):
-                if any(field.strip() for field in row):
-                    yield lineno, row
+                if not any(field.strip() for field in row):
+                    continue
+                try:  # a strict zip raises ValueError on another field count too
+                    typed = tuple(convert(field) for convert, field in zip(types, row, strict=True))
+                except ValueError:
+                    raise DataError(f"{path}: malformed row at line {lineno}") from None
+                yield lineno, typed
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"{path}: not a readable UTF-8 CSV file ({e})") from None
 
@@ -351,9 +346,18 @@ def _write_atomic(path, write):
         raise
 
 
-def write_csv(path, header, lines):
-    """Write `header`, then each string of `lines`, one per line; every CSV output goes here."""
-    _write_atomic(path, lambda fh: fh.write("\n".join([header, *lines]) + "\n"))
+def write_csv(path, header, rows):
+    """Write `header`, then each row of Python ints and floats, one line per row.
+
+    Every CSV output is written here. `rows` may be a generator, so that a
+    caller holds no row after it is formatted. A number is written as its repr,
+    which float() and int() read back exactly: every float64 keeps its bit
+    pattern, -0.0, subnormals and infinities included. A NaN comes back
+    as a NaN, but repr drops its sign. A numpy scalar must be converted
+    first, as its repr is not a number.
+    """
+    lines = [header, *(",".join(map(repr, row)) for row in rows)]
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def save_pools(pools, path):

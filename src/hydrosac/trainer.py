@@ -461,8 +461,7 @@ def load_checkpoint(path):
                 raise ValueError(f"{name} holds a non-finite value")
         replay = doc.get("replay")
         if replay is not None:
-            shapes = {"obs": (n, OBS_DIM), "actions": (n,), "rewards": (n,),
-                      "next_obs": (n, OBS_DIM), "done": (n,)}
+            shapes = {name: (n, *row) for name, row in ReplayBuffer.ROWS.items()}
             if set(replay) - set(shapes):  # a missing array fails below, by its name
                 raise ValueError(f"replay has {sorted(replay)}; a buffer has {list(shapes)}")
             replay = {k: _decode_array(v) for k, v in replay.items()}
@@ -479,18 +478,13 @@ def load_checkpoint(path):
 
 
 def write_train_log(records, path):
-    lines = []
-    for r in records:
-        vals = (r.total_reward, r.terminal_bonus, r.end_storage, r.total_spill, r.mean_action,
-                r.seconds)
-        lines.append(f"{r.episode},{','.join(repr(float(v)) for v in vals)}")
-    write_csv(path, TRAIN_LOG_HEADER, lines)
+    write_csv(path, TRAIN_LOG_HEADER, (
+        (r.episode, *map(float, (r.total_reward, r.terminal_bonus, r.end_storage,
+                                 r.total_spill, r.mean_action, r.seconds)))
+        for r in records))
 
 
 def write_eval_csv(traces, path):
     """Write rollout's traces as CSV rows; episodes are numbered by position."""
-    lines = []
-    for i, trace in enumerate(traces.tolist()):
-        for row in trace:
-            lines.append(f"{i},{int(row[0])},{','.join(map(repr, row[1:7]))}")
-    write_csv(path, EVAL_HEADER, lines)
+    write_csv(path, EVAL_HEADER, ((i, int(row[0]), *row[1:7])
+                                  for i, trace in enumerate(traces.tolist()) for row in trace))

@@ -27,6 +27,7 @@ from hydrosac.trainer import (
     train,
     write_train_log,
 )
+from oracles import assert_replayed, assert_within_bounds, perfect_foresight_bounds
 
 POOLS_SEED = 11
 EVAL_SEED = 999
@@ -50,16 +51,18 @@ def baselines(artificial_pools):
     rand = evaluate_policy_fn(
         random_policy, artificial_pools, env_cfg, N_EVAL_EPISODES, EVAL_SEED
     )
-    const_means = {}
-    for level in [round(0.1 * k, 1) for k in range(1, 11)]:
-        traces = evaluate_policy_fn(
+    const_traces = {
+        level: evaluate_policy_fn(
             constant_policy(level), artificial_pools, env_cfg, N_EVAL_EPISODES, EVAL_SEED
         )
-        const_means[level] = float(traces[:, -1, 6].mean())
+        for level in [round(0.1 * k, 1) for k in range(1, 11)]
+    }
+    const_means = {level: float(t[:, -1, 6].mean()) for level, t in const_traces.items()}
     best_level = max(const_means, key=const_means.get)
     return {
         "random_traces": rand,
         "random_mean": float(rand[:, -1, 6].mean()),
+        "const_traces": const_traces,
         "const_means": const_means,
         "best_const_level": best_level,
         "best_const_mean": const_means[best_level],
@@ -323,6 +326,22 @@ class TestCriterion5LearningProgress:
         assert tail_mean >= explore_mean, (
             f"last-10% mean {tail_mean:.0f} below exploration mean {explore_mean:.0f}"
         )
+
+
+class TestPerfectForesightBound:
+    def test_no_policy_beats_perfect_foresight(self, trained_run, baselines, artificial_pools):
+        # pathwise: each evaluation episode scores at most its year's
+        # perfect-foresight value (tests/oracles.py); a ratio of means is
+        # printed, not gated, as it moves with the evaluation set
+        env_cfg = trained_run["ckpt"].config.env
+        bounds = perfect_foresight_bounds(artificial_pools, env_cfg, N_EVAL_EPISODES, EVAL_SEED)
+        policies = {"SAC": trained_run["traces"], "random": baselines["random_traces"],
+                    **{f"constant {a}": t for a, t in baselines["const_traces"].items()}}
+        for label, traces in policies.items():
+            assert_replayed(traces, artificial_pools, env_cfg, EVAL_SEED)
+            assert_within_bounds(traces, bounds, label)
+        print(f"perfect-foresight bound: mean {bounds.mean():.1f} over {len(bounds)} episodes; "
+              f"SAC scores {trained_run['agent_mean'] / bounds.mean():.3f} of it")
 
 
 class TestCriterion6PriceFollowing:

@@ -1132,3 +1132,19 @@ def test_every_settings_flag_names_a_config_field():
                 assert action.default is argparse.SUPPRESS
                 counts[command] += 1
     assert counts == {"gen-scenarios": 6, "train": 27, "evaluate": 14, "plan": 5, "inspect": 0}
+
+
+# Each size is PiB, past any address space, so numpy refuses it before
+# touching memory; a size the kernel might grant would fill it instead.
+@pytest.mark.parametrize("command, argv", [
+    ("train", ["--total-weeks", "1000000000000000"]),  # the replay: 35.5 PiB
+    ("train", ["--hidden-width", "100000000000000"]),  # the policy's first layer: 3.55 PiB
+    ("gen-scenarios", ["--mode", "artificial", "--samples-per-week", "1000000000000000"]),
+], ids=["train_replay", "train_hidden_width", "gen_samples_per_week"])
+def test_size_too_large_to_allocate_exit_2(command, argv, tmp_path, capsys):
+    outputs = {"train": ["--out", str(tmp_path / "ck.json"), "--log", str(tmp_path / "log.csv")],
+               "gen-scenarios": ["--out", str(tmp_path / "pools.json")]}
+    assert run([command, *argv, *outputs[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "PiB" in err, err
+    assert list(tmp_path.iterdir()) == []

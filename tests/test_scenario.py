@@ -1,8 +1,12 @@
 import json
+import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hydrosac import scenario as sc
 from hydrosac.scenario import (
@@ -69,6 +73,45 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "a.csv", ["2010,1,5.0"], header="a,b,c")
         with pytest.raises(DataError, match="header"):
             load_csv_series(p, sc.PRICE)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestCsvRoundTrip:
+    """write_csv writes each number as its repr, and read_csv reads it back exactly.
+
+    Every float64 that is not NaN comes back with its bit pattern, -0.0,
+    subnormals and infinities included. A NaN comes back as a NaN, but
+    repr drops its sign, so a negative NaN comes back positive. An int
+    stays an int.
+    """
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "rows.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1))
+    @example(rows=[(-0.0, 0.0, 5e-324), (-5e-324, 2.2250738585072014e-308, math.inf),
+                   (-math.inf, 1e16, 1e-05), (math.nan, -math.nan, 1.7976931348623157e308)])
+    def test_floats_keep_their_bits(self, path, rows):
+        sc.write_csv(path, "a,b,c", rows)
+        back = [row for _, row in sc.read_csv(path, "a,b,c", (float, float, float))]
+        assert len(back) == len(rows)
+        for row, got in zip(rows, back):
+            for x, y in zip(row, got):
+                assert math.isnan(y) if math.isnan(x) else bits(y) == bits(x), (x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(), st.integers(-1, 1), st.floats(0, 1)),
+                         min_size=1))
+    def test_ints_stay_ints(self, path, rows):
+        sc.write_csv(path, "i,j,x", rows)
+        back = [row for _, row in sc.read_csv(path, "i,j,x", (int, int, float))]
+        assert back == rows
+        assert all(type(i) is int and type(j) is int for i, j, _ in back)
 
 
 class TestBuildPools:

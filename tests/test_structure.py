@@ -4,32 +4,41 @@
 decode to the error that the CLI turns into exit 4. A decoder called
 anywhere else would skip that mapping. Outputs go through
 `scenario._write_atomic`, which only scenario.py and the checkpoint writer
-call, so every CSV output shares `scenario.write_csv`. And `cli.main`
-alone turns a DataError into exit 4 and a UsageError or OSError into exit
-2; a handler elsewhere in cli.py that caught one could give it another
-code. Every simulated year is stepped by `trainer.play`, the one episode
-loop, so no second loop can drift from it. The numeric code keeps to
-numpy's exp and log, whose bits the digests pin. `_kernels` only names the
-backend for the benchmark's environment record, so no module imports it.
+call, so every CSV output shares `scenario.write_csv`, the one place that
+formats a CSV number; `ReplayBuffer.ROWS` alone names the replay arrays.
+And `cli.main` alone turns a DataError into exit 4 and a UsageError,
+OSError or MemoryError into exit 2; a handler elsewhere in cli.py that
+caught one could give it another code. Every simulated year is stepped by
+`trainer.play`, the one episode loop, so no second loop can drift from
+it. The numeric code keeps to numpy's exp and log, whose bits the digests
+pin. `_kernels` only names the backend for the benchmark's environment
+record, so no module imports it.
 """
 
 import ast
 from pathlib import Path
 
 import hydrosac
+from hydrosac.sac import ReplayBuffer
 
 DECODERS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
 
 
-def calls(tree):
-    """Yield (enclosing function, callee as written) for each call in `tree`."""
+def nodes(tree):
+    """Yield (enclosing function, node) for each node in `tree`."""
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                yield function, ast.unparse(child.func)
+            yield function, child
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from visit(child, child.name if is_function else function)
     yield from visit(tree, None)
+
+
+def calls(tree):
+    """Yield (enclosing function, callee as written) for each call in `tree`."""
+    for function, node in nodes(tree):
+        if isinstance(node, ast.Call):
+            yield function, ast.unparse(node.func)
 
 
 def program_trees():
@@ -56,6 +65,21 @@ def test_outputs_are_written_only_by_the_shared_writers():
     stray = {w for w in writers if w[0] != "scenario" and w != ("trainer", "save_checkpoint")}
     assert not stray, f"_write_atomic called outside scenario.py: {sorted(stray)}"
     assert {("scenario", "write_csv"), ("trainer", "save_checkpoint")} <= writers
+
+
+def test_numbers_are_formatted_only_by_the_shared_writers():
+    # each CSV writer passes numbers to write_csv, which alone formats a row
+    users = {(module, function) for module, tree in program_trees()
+             for function, node in nodes(tree)
+             if isinstance(node, ast.Name) and node.id == "repr"}
+    assert users == {("scenario", "write_csv"), ("trainer", "_float_list_json")}
+
+
+def test_replay_arrays_are_named_only_by_the_buffer():
+    # load_checkpoint takes the replay's names and row shapes from ReplayBuffer.ROWS
+    tree = dict(program_trees())["trainer"]
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not literals & set(ReplayBuffer.ROWS), "trainer.py names a replay array"
 
 
 def test_years_are_stepped_only_by_play():
@@ -91,7 +115,7 @@ def test_only_main_turns_failures_into_exit_codes():
              if function != "main" and function not in CLI_HANDLERS.get(name, ())}
     assert not stray, f"handlers outside cli.main: {sorted(stray)}"
     assert {name for function, name in caught if function == "main"} == {
-        "DataError", "UsageError", "OSError"}
+        "DataError", "UsageError", "OSError", "MemoryError"}
 
 
 def imports(tree):
