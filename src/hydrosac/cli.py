@@ -228,11 +228,9 @@ def cmd_gen_scenarios(args):
                 "historic mode needs --prices and --inflows (or --synthetic-historic)"
             )
         try:
-            price_series = [sc.load_csv_series(f, sc.PRICE) for f in args.prices]
-            inflow_series = [sc.load_csv_series(f, sc.INFLOW) for f in args.inflows]
+            pools = sc.build_pools(args.prices, args.inflows, artificial.r_max)
         except FileNotFoundError as e:
             raise UsageError(f"input file not found: {e.filename}")
-        pools = sc.build_pools(price_series, inflow_series, artificial.r_max)
     sc.save_pools(pools, args.out)
     for w in range(sc.WEEKS):
         print(
@@ -246,6 +244,9 @@ def cmd_gen_scenarios(args):
 def cmd_train(args):
     cfg, artificial, given = _settings(args)
     cfg.seed = _seed(cfg.seed if "seed" in given["train"] else None)
+    for flag, path in (("--out", args.out), ("--log", args.log)):
+        if not os.path.isdir(os.path.dirname(path) or "."):  # found before training, not after
+            raise UsageError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
     pools = _get_pools(args, artificial, cfg.seed)
     cfg.pools_path = args.pools or ""
     # Historic pools explore longer and value the end storage at the
@@ -341,7 +342,7 @@ def cmd_inspect(args):
     shapes = {name: net.widths for name, net in ckpt.agent.networks().items()}
     if args.as_json:
         doc = {
-            "version": ckpt.version,
+            "version": tr.CHECKPOINT_VERSION,
             "episode": ckpt.episode,
             "replay_size": ckpt.replay_size,
             "network_shapes": shapes,
@@ -349,7 +350,7 @@ def cmd_inspect(args):
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(f"version: {ckpt.version}")
+        print(f"version: {tr.CHECKPOINT_VERSION}")
         print(f"episodes trained: {ckpt.episode}")
         print(f"replay size: {ckpt.replay_size}")
         for name in sorted(shapes):

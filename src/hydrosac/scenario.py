@@ -18,7 +18,6 @@ from .env import WEEKS, UsageError, require_finite
 
 PRICE = "price"
 INFLOW = "inflow"
-KINDS = (PRICE, INFLOW)
 
 ARTIFICIAL = "artificial"
 HISTORIC = "historic"
@@ -35,22 +34,6 @@ INFLOW_BASE_WEIGHT = 0.05
 
 class DataError(ValueError):
     """Raised for malformed or insufficient input data."""
-
-
-@dataclass
-class RawSeries:
-    kind: str
-    points: list  # (year, week, value) tuples
-    label: str = ""
-
-    def validate(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown series kind {self.kind!r}")
-        for year, week, value in self.points:
-            if not 1 <= week <= WEEKS:
-                raise DataError(f"week {week} out of range in series {self.label!r}")
-            if not np.isfinite(value) or value < 0:
-                raise DataError(f"bad value {value!r} in series {self.label!r}")
 
 
 @dataclass
@@ -109,24 +92,23 @@ class ArtificialConfig:
             raise UsageError("annual_inflow must be >= 0 and r_max > 0")
 
 
-def load_csv_series(path, kind):
-    """Read a `year,week,value` CSV into a RawSeries.
+def load_csv_series(path):
+    """Read a `year,week,value` CSV into its (week, value) pairs, in file order.
 
-    Rejects the whole file on the first malformed row, reporting its line
-    number (line 1 is the header). Blank lines are skipped (see read_csv).
+    The year must be an integer, but is not kept. Rejects the whole file on
+    the first malformed row, reporting its line number (line 1 is the
+    header). Blank lines are skipped (see read_csv).
     """
-    if kind not in KINDS:
-        raise DataError(f"unknown series kind {kind!r}")
     points = []
-    for lineno, (year, week, value) in read_csv(path, "year,week,value", (int, int, float)):
+    for lineno, (_, week, value) in read_csv(path, "year,week,value", (int, int, float)):
         if not 1 <= week <= WEEKS:
             raise DataError(f"{path}: week out of range at line {lineno}")
         if not np.isfinite(value) or value < 0:
             raise DataError(f"{path}: negative or non-finite value at line {lineno}")
-        points.append((year, week, value))
+        points.append((week, value))
     if not points:
         raise DataError(f"{path}: no rows")
-    return RawSeries(kind=kind, points=points, label=str(path))
+    return points
 
 
 def load_scenario_csv(path):
@@ -143,31 +125,24 @@ def load_scenario_csv(path):
     return Scenario(prices=prices, inflows=inflows)
 
 
-def build_pools(price_series, inflow_series, r_max):
-    """Merge raw series into per-week pools, normalized to [0, 1].
+def build_pools(price_paths, inflow_paths, r_max):
+    """Merge the `year,week,value` CSV files at the given paths into per-week
+    pools, normalized to [0, 1].
 
-    Prices are divided by the maximum over all price series; inflows by
-    r_max, with values above capacity clamped to 1 (counted in provenance).
+    Each path is read by load_csv_series each time it is given, the prices
+    first, so a path given twice is merged twice. Prices are divided by the
+    maximum over all price values; inflows by r_max, with values above
+    capacity clamped to 1 (counted in provenance, with the distinct paths).
     """
-    if not price_series or not inflow_series:
+    if not price_paths or not inflow_paths:
         raise DataError("need at least one price series and one inflow series")
     if not 0 < r_max < np.inf:  # NaN fails too
         raise DataError(f"r_max must be finite and > 0, got {r_max!r}")
-    for series in list(price_series) + list(inflow_series):
-        series.validate()
-
-    price_raw = [[] for _ in range(WEEKS)]
-    inflow_raw = [[] for _ in range(WEEKS)]
-    for series in price_series:
-        if series.kind != PRICE:
-            raise DataError(f"series {series.label!r} is not a price series")
-        for _, week, value in series.points:
-            price_raw[week - 1].append(value)
-    for series in inflow_series:
-        if series.kind != INFLOW:
-            raise DataError(f"series {series.label!r} is not an inflow series")
-        for _, week, value in series.points:
-            inflow_raw[week - 1].append(value)
+    price_raw, inflow_raw = [[[] for _ in range(WEEKS)] for _ in range(2)]
+    for paths, raw in ((price_paths, price_raw), (inflow_paths, inflow_raw)):
+        for path in paths:
+            for week, value in load_csv_series(path):
+                raw[week - 1].append(value)
 
     empty = [w + 1 for w in range(WEEKS) if not price_raw[w] or not inflow_raw[w]]
     if empty:
@@ -186,8 +161,8 @@ def build_pools(price_series, inflow_series, r_max):
         clamped += int(np.sum(inflow > 1.0))
         inflow_pool.append(np.minimum(inflow, 1.0))
 
-    labels = sorted({s.label for s in price_series} | {s.label for s in inflow_series})
-    provenance = f"historic pools from {len(labels)} series"
+    distinct = {str(path) for path in [*price_paths, *inflow_paths]}
+    provenance = f"historic pools from {len(distinct)} series"
     if clamped:
         provenance += f"; clamped {clamped} inflow values above capacity"
     pools = ScenarioPools(

@@ -115,7 +115,6 @@ def _fits(value, kind):
 class Checkpoint:
     """A trained agent with its config echo, generator state, episode count and
     replay; `train` may return one that shares the agent it trained."""
-    version: int
     config: TrainConfig
     agent: AgentBundle
     rng_state: dict
@@ -124,12 +123,9 @@ class Checkpoint:
     replay: Optional[dict] = None
 
     @classmethod
-    def from_agent(cls, cfg, agent, rng, episode, buffer=None):
-        replay = None
-        if buffer is not None and cfg.include_replay_in_checkpoint:
-            replay = buffer.export_arrays()
-        return cls(CHECKPOINT_VERSION, cfg, agent, rng.bit_generator.state, episode,
-                   0 if buffer is None else len(buffer), replay)
+    def from_agent(cls, cfg, agent, rng, episode, buffer):
+        replay = buffer.export_arrays() if cfg.include_replay_in_checkpoint else None
+        return cls(cfg, agent, rng.bit_generator.state, episode, len(buffer), replay)
 
     @property
     def networks(self):
@@ -381,7 +377,7 @@ def save_checkpoint(ckpt, path):
         return {"shape": list(a.shape), "values": a}
 
     doc = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
             name: [{"rows": l.weight.shape[0], "cols": l.weight.shape[1], "weights": l.weight,
@@ -424,10 +420,10 @@ def load_checkpoint(path):
     """
     doc = read_json(path, CheckpointError, _decode_while_parsing)
     try:
-        version = int(doc["version"])
-        if version != CHECKPOINT_VERSION:
+        version = doc["version"]
+        if type(version) is not int or version != CHECKPOINT_VERSION:  # not 1.0, "1" or true
             raise CheckpointError(
-                f"{path}: checkpoint version {version} not supported "
+                f"{path}: checkpoint version {version!r} not supported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
         config = config_from_dict(TrainConfig, doc["config"], "checkpoint")
@@ -474,7 +470,7 @@ def load_checkpoint(path):
     # e.g. a section not an object, or an rng_state numpy cannot set
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed checkpoint ({e})") from None
-    return Checkpoint(version, config, agent, rng_state, episode, n, replay)
+    return Checkpoint(config, agent, rng_state, episode, n, replay)
 
 
 def write_train_log(records, path):

@@ -7,6 +7,12 @@ known in advance. No policy that sees only the past can beat it on that
 year, so every episode's return must lie at or below it. The plan that
 attains it, played open loop by `plan_policy`, comes close to it, so an
 environment that overpays shows as a return above the value.
+
+`sdp_solve` is stochastic dynamic programming (Stedinger, Sule & Loucks
+1984, Water Resources Research 20(11)): backward induction on a storage
+grid, with the expectation over every pair of a week's price and inflow
+pools, as sample_scenario draws each week's price and inflow
+independently. `sdp_policy` acts on it; it sees only the present week.
 """
 
 import dataclasses
@@ -14,7 +20,7 @@ import dataclasses
 import numpy as np
 from scipy.optimize import linprog
 
-from hydrosac.env import LAST_WEEK_PRICE
+from hydrosac.env import LAST_WEEK_PRICE, WEEKS
 from hydrosac.scenario import sample_scenario
 
 # HiGHS works to a feasibility tolerance of 1e-7; this is ample above it.
@@ -136,3 +142,140 @@ def assert_within_bounds(traces, bounds, label, attained=False):
     under = np.flatnonzero(returns < bounds - slack) if attained else np.array([], int)
     assert under.size == 0, (f"{label}: episodes {under.tolist()} return {returns[under].tolist()} "
                              f"below their perfect-foresight bounds {bounds[under].tolist()}")
+
+
+@dataclasses.dataclass
+class SdpSolution:
+    """Backward induction's expected values on a storage grid, with the pools it solved.
+
+    values[t, j] is the expected return from the start of week t + 1 (of
+    len(values) - 1 weeks) with storage grid[j], before that week's price
+    and inflow are seen; between nodes a value is linear. The last row is
+    zero, as the last week pays the terminal bonus itself.
+    """
+    grid: np.ndarray
+    values: np.ndarray
+    price_pool: list
+    inflow_pool: list
+    cfg: object  # the EnvConfig solved
+
+    def predicted(self, storage, week=1):
+        """The expected return from the start of week `week` with `storage`."""
+        return np.interp(storage, self.grid, self.values[week - 1])
+
+    def later(self, week, end, price):
+        """The value of ending week `week` (1-based) with storage `end` at `price`:
+        values[week] between weeks, the terminal bonus in the last week."""
+        cfg = self.cfg
+        if week < len(self.values) - 1:
+            return self.predicted(end, week + 1)
+        terminal = price if cfg.terminal_price_rule == LAST_WEEK_PRICE else 1.0
+        inside = (cfg.terminal_low <= end) & (end <= cfg.terminal_high)
+        return np.where(inside, end, 0.0) * _factor(terminal, cfg)
+
+    def returns(self, week, storage, price, inflow, ends=()):
+        """(releases, returns), each (candidates, *broadcast shape): the candidate
+        releases in week `week` at `storage`, `price` and `inflow` (see
+        _candidates), and each one's revenue plus the later value of its end."""
+        releases, end = _candidates(self.grid, storage, inflow, self.cfg, ends)
+        return releases, releases * _factor(price, self.cfg) + self.later(week, end, price)
+
+    def bellman(self, week, storage):
+        """The expected best return of week `week` at each of the 1-D `storage`: the
+        mean, over every (price, inflow) pair of the week's pools, of the best
+        candidate's return. A running maximum, one candidate at a time."""
+        prices = np.asarray(self.price_pool[week - 1], dtype=float)
+        inflows = np.asarray(self.inflow_pool[week - 1], dtype=float)
+        releases, end = _candidates(self.grid, storage[:, None], inflows, self.cfg, ())
+        factor = _factor(prices, self.cfg)
+        best = np.full((len(storage), len(inflows), len(prices)), -np.inf)
+        value = np.empty_like(best)
+        for u, e in zip(releases[..., None], end[..., None]):
+            np.multiply(u, factor, out=value)
+            value += self.later(week, e, prices)
+            np.maximum(best, value, out=best)
+        return best.mean(axis=(1, 2))
+
+    def midpoint_errors(self):
+        """(weeks, cells) array: each week's bellman value less its interpolated
+        value at the midpoint of each grid cell, the grid's interpolation error."""
+        mids = (self.grid[1:] + self.grid[:-1]) / 2
+        return np.array([self.bellman(week, mids) - self.predicted(mids, week)
+                         for week in range(1, len(self.values))])
+
+
+def _factor(price, cfg):
+    """The revenue of releasing one unit of storage at `price`."""
+    return cfg.r_max * (price * cfg.k_price) ** cfg.q_price
+
+
+def storage_grid(n_points, cfg):
+    """n_points evenly spaced storages in [0, 1], with the terminal window's edges added."""
+    return np.union1d(np.linspace(0.0, 1.0, n_points), [cfg.terminal_low, cfg.terminal_high])
+
+
+def _candidates(grid, storage, inflow, cfg, ends):
+    """(releases, end storages), each shaped (candidates, *broadcast shape).
+
+    With a continuation value linear between grid nodes, the return of a
+    release u in [0, min(f_max, storage)], u times the price factor plus the
+    value of min(storage - u + inflow, 1), is linear in u between the
+    releases listed here, so its maximum is at one of them: no release,
+    the largest release, and each release that ends on a grid node (the
+    node 1 is the spill kink) or on one of `ends`. An end storage is taken
+    from the node or the edge itself, not recomputed from the release. A
+    candidate outside [0, min(f_max, storage)] is replaced by no release.
+    """
+    raw = np.asarray(storage + inflow, dtype=float)  # end storage before spill, with no release
+    u_max = np.broadcast_to(np.minimum(cfg.f_max, storage), raw.shape)
+    # the most nodes that lie between the end storages of no and the largest release
+    spans = np.searchsorted(grid, grid + cfg.f_max, side="right") - np.arange(len(grid))
+    axes = [1] * raw.ndim
+    below = np.searchsorted(grid, np.minimum(raw, 1.0), side="right") - 1  # highest node <= raw
+    nodes = below - np.arange(spans.max()).reshape(-1, *axes)
+    extra = np.broadcast_to(np.reshape(ends, (-1, *axes)), (len(ends), *raw.shape))
+    fixed = np.concatenate([grid[np.maximum(nodes, 0)], extra])
+    releases = np.concatenate([np.zeros((1, *raw.shape)), u_max[None], raw - fixed])
+    end = np.concatenate([np.minimum(raw, 1.0)[None], np.minimum(raw - u_max, 1.0)[None], fixed])
+    feasible = (releases >= 0.0) & (releases <= u_max)
+    feasible[2:2 + len(nodes)] &= nodes >= 0
+    return np.where(feasible, releases, 0.0), np.where(feasible, end, end[0])
+
+
+def sdp_solve(price_pool, inflow_pool, cfg, n_points):
+    """Backward induction over len(price_pool) weeks on storage_grid(n_points, cfg):
+    each week's value at a node is its bellman value, with the next week's
+    values as continuation; the last week pays the terminal bonus."""
+    grid = storage_grid(n_points, cfg)
+    weeks = len(price_pool)
+    solution = SdpSolution(grid, np.zeros((weeks + 1, len(grid))), price_pool, inflow_pool, cfg)
+    for week in range(weeks, 0, -1):
+        solution.values[week - 1] = solution.bellman(week, grid)
+    return solution
+
+
+def sdp_choice(solution, week, storage, price, inflow, margin=PLAN_MARGIN):
+    """(release, return) of the best candidate release in week `week` of `solution`
+    at each storage, price and inflow; in the last week it aims `margin`
+    inside the terminal window, as an end storage on its edge can round
+    outside it and lose the bonus."""
+    cfg = solution.cfg
+    inner = dataclasses.replace(solution, cfg=dataclasses.replace(
+        cfg, terminal_low=cfg.terminal_low + margin, terminal_high=cfg.terminal_high - margin))
+    last = week == len(solution.values) - 1
+    ends = (inner.cfg.terminal_low, inner.cfg.terminal_high) if last else ()
+    releases, returns = inner.returns(week, storage, price, inflow, ends)
+    best = np.argmax(returns, axis=0)[None]
+    return np.take_along_axis(releases, best, 0)[0], np.take_along_axis(returns, best, 0)[0]
+
+
+def sdp_policy(solution):
+    """The action_fn that plays `solution`, a 52-week solve, by sdp_choice at each
+    year's observed storage, price and inflow."""
+    def act(obs_rows, rngs):
+        obs = np.asarray(obs_rows)
+        (week,) = set(np.rint(obs[:, 0] * WEEKS).astype(int).tolist())  # in lock-step
+        release, _ = sdp_choice(solution, week, obs[:, 1], obs[:, 2], obs[:, 3])
+        return np.clip(release / solution.cfg.f_max, 0.0, 1.0)
+
+    return act

@@ -27,7 +27,8 @@ from hydrosac.trainer import (
     train,
     write_train_log,
 )
-from oracles import assert_replayed, assert_within_bounds, perfect_foresight_bounds
+from oracles import (assert_replayed, assert_within_bounds, perfect_foresight_bounds, sdp_policy,
+                     sdp_solve)
 
 POOLS_SEED = 11
 EVAL_SEED = 999
@@ -331,17 +332,24 @@ class TestCriterion5LearningProgress:
 class TestPerfectForesightBound:
     def test_no_policy_beats_perfect_foresight(self, trained_run, baselines, artificial_pools):
         # pathwise: each evaluation episode scores at most its year's
-        # perfect-foresight value (tests/oracles.py); a ratio of means is
-        # printed, not gated, as it moves with the evaluation set
+        # perfect-foresight value (tests/oracles.py); ratios of means are
+        # printed, not gated, as they move with the evaluation set
         env_cfg = trained_run["ckpt"].config.env
         bounds = perfect_foresight_bounds(artificial_pools, env_cfg, N_EVAL_EPISODES, EVAL_SEED)
+        sdp = sdp_solve(artificial_pools.price_pool, artificial_pools.inflow_pool, env_cfg, 201)
+        sdp_traces = evaluate_policy_fn(sdp_policy(sdp), artificial_pools, env_cfg,
+                                        N_EVAL_EPISODES, EVAL_SEED)
         policies = {"SAC": trained_run["traces"], "random": baselines["random_traces"],
-                    **{f"constant {a}": t for a, t in baselines["const_traces"].items()}}
+                    **{f"constant {a}": t for a, t in baselines["const_traces"].items()},
+                    "SDP": sdp_traces}
         for label, traces in policies.items():
             assert_replayed(traces, artificial_pools, env_cfg, EVAL_SEED)
             assert_within_bounds(traces, bounds, label)
+        sdp_mean = float(sdp_traces[:, -1, 6].mean())
         print(f"perfect-foresight bound: mean {bounds.mean():.1f} over {len(bounds)} episodes; "
-              f"SAC scores {trained_run['agent_mean'] / bounds.mean():.3f} of it")
+              f"SAC scores {trained_run['agent_mean'] / bounds.mean():.3f} of it; "
+              f"SDP (201 storages) scores {sdp_mean:.1f}, SAC/SDP "
+              f"{trained_run['agent_mean'] / sdp_mean:.3f}")
 
 
 class TestCriterion6PriceFollowing:
@@ -398,8 +406,8 @@ class TestCriterion8Reproducibility:
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpts[0], path)
         loaded = load_checkpoint(path)
-        a1 = ckpts[0].restore_agent()
-        a2 = loaded.restore_agent()
+        a1 = ckpts[0].agent
+        a2 = loaded.agent
         rng = np.random.default_rng(17)
         outputs_identical = all(
             a1.policy.mean_action(obs) == a2.policy.mean_action(obs)

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -93,6 +94,34 @@ class TestGenScenarios:
         assert doc["mode"] == "historic"
         assert all(len(p) == 4 for p in doc["inflow_pool"])
         assert all(len(p) == 2 for p in doc["price_pool"])
+
+    def test_historic_pools_bytes(self, tmp_path, monkeypatch, capsys):
+        """Pinned bytes of a historic pools file and of the command's stdout.
+
+        The series files have their weeks out of order and a blank row;
+        one price file is given twice, one file serves as both a price and
+        an inflow series, and one inflow file exceeds r_max, so the merge
+        order, the normalization and the clamp count are all pinned.
+        """
+        rng = np.random.default_rng(23)
+
+        def series(name, years, scale):
+            rows = [f"{year},{week},{rng.uniform(0.0, scale)!r}"
+                    for year in years for week in range(1, 53)]
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            rows.insert(len(rows) // 2, "")
+            (tmp_path / name).write_text("\n".join(["year,week,value", *rows]) + "\n")
+            return name
+
+        monkeypatch.chdir(tmp_path)  # relative names, so stdout holds no temporary path
+        prices = [series("p1.csv", (2010, 2011), 80.0), series("p2.csv", (2012,), 60.0)]
+        inflows = [series("i1.csv", (1999,), 1500.0), series("i2.csv", (2000, 2001), 90.0)]
+        assert run(["gen-scenarios", "--mode", "historic", "--prices", *prices, prices[0],
+                    "--inflows", *inflows, prices[1], "--out", "hist.json"]) == 0
+        pools = hashlib.sha256((tmp_path / "hist.json").read_bytes()).hexdigest()
+        stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        # 5 prices and 4 inflows a week, from 4 distinct files; 21 inflows clamped
+        assert (pools[:16], stdout[:16]) == ("e6457d1f4a92d5d9", "5603c81f61bbdeb8")
 
     @pytest.mark.parametrize("r_max, message", [
         ("0", "annual_inflow must be >= 0 and r_max > 0"),
@@ -552,6 +581,18 @@ def echo_hidden_width_huge(doc):
     doc["config"]["agent"]["hidden_width"] = 10**7  # init would ask for terabytes
 
 
+def version_fraction(doc):
+    doc["version"] = 1.9
+
+
+def version_text(doc):
+    doc["version"] = "1"
+
+
+def version_true(doc):
+    doc["version"] = True
+
+
 def unknown_network(doc):
     doc["networks"]["q3"] = "not a network"
 
@@ -608,6 +649,9 @@ def unknown_optimizer(doc):
      "network q1 has layer rows [12, 12, 12, 1] and cols [6, 24, 12, 12], that do not chain"),
     (echo_hidden_width_huge, "malformed checkpoint (hidden_width 10000000 needs "
                              "100000000000000 or more network values, not "),
+    (version_fraction, "checkpoint version 1.9 not supported (expected 1)"),
+    (version_text, "checkpoint version '1' not supported (expected 1)"),
+    (version_true, "checkpoint version True not supported (expected 1)"),
     (unknown_network, "malformed checkpoint (networks has ['policy_log_std_head', "
                       "'policy_mean_head', 'policy_trunk', 'q1', 'q2', 'q3', 'value', "
                       "'value_target']; the agent has ['policy_trunk', 'policy_mean_head', "
@@ -634,7 +678,8 @@ def test_checkpoint_networks_must_fit_exit_4(
     ]) == 4
     err = capsys.readouterr().err
     assert message in err
-    assert err.count(f"error: {bad}: malformed checkpoint (") == 3
+    kind = message if message.startswith("checkpoint version") else "malformed checkpoint ("
+    assert err.count(f"error: {bad}: {kind}") == 3
     if message.startswith("malformed checkpoint"):
         assert err.count(f"error: {bad}: {message}") == 3
 
@@ -1075,6 +1120,8 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("plan", ["--config", "{missing}"], None, None, 2, "config file not found"),
     ("plan", ["--scenario", "{scenario}", "--config", "{missing}"], None, None, 2,
      "config file not found"),
+    ("train", ["--out", "{nodir}/ck.json"], None, None, 2, "none/ck.json: directory "),
+    ("train", ["--log", "{nodir}/log.csv"], None, None, 2, "none/log.csv: directory "),
     ("plan", [], "{not json", None, 4, "is not valid JSON"),
     ("plan", ["--scenario", "{scenario}"], "{not json", None, 4, "is not valid JSON"),
 ], ids=[
@@ -1089,7 +1136,8 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "file_rmsprop_rho_negative", "file_log_std_bounds_crossed", "train_pools_r_max_nan",
     "train_pools_r_max_inf", "train_annual_inflow_inf",
     "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
-    "plan_config_missing", "plan_scenario_config_missing", "plan_config_corrupt",
+    "plan_config_missing", "plan_scenario_config_missing", "train_out_dir_missing",
+    "train_log_dir_missing", "plan_config_corrupt",
     "plan_scenario_config_corrupt",
 ])
 def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
@@ -1097,8 +1145,8 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
     monkeypatch.delenv("HYDROSAC_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("HYDROSAC_SEED", env)
-    argv = [arg.format(pools=pools_file, scenario=scenario_file, missing=tmp_path / "none.json")
-            for arg in argv]
+    argv = [arg.format(pools=pools_file, scenario=scenario_file, missing=tmp_path / "none.json",
+                       nodir=tmp_path / "none") for arg in argv]
     ckpt, _ = trained_files
     outputs = {
         "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),
@@ -1111,8 +1159,10 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
         path = tmp_path / "cfg.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [*argv, "--config", str(path)]
-    assert run([command, *argv, *outputs[command]]) == code
+    # argv comes last, so that its --out or --log replaces the default output
+    assert run([command, *outputs[command], *argv]) == code
     assert message in capsys.readouterr().err
+    # nothing is written: neither output, nor a missing --out or --log directory
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
 
 

@@ -12,7 +12,6 @@ from hydrosac import scenario as sc
 from hydrosac.scenario import (
     ArtificialConfig,
     DataError,
-    RawSeries,
     build_pools,
     generate_artificial_pools,
     load_csv_series,
@@ -27,52 +26,54 @@ def write_csv(path, rows, header="year,week,value"):
     return path
 
 
-def full_series(kind, value=1.0, label="s"):
-    return RawSeries(
-        kind=kind, points=[(2010, w, value) for w in range(1, 53)], label=label
-    )
+def full_series(path, value=1.0, weeks=range(1, 53)):
+    """Write a one-year `year,week,value` series of `value` at `path`; return the path."""
+    return write_csv(path, [f"2010,{w},{value!r}" for w in weeks])
 
 
 class TestLoadCsv:
     def test_parses_rows(self, tmp_path):
-        p = write_csv(tmp_path / "a.csv", ["2010,1,42.5", "2010,2,40.0"])
-        series = load_csv_series(p, sc.PRICE)
-        assert series.points == [(2010, 1, 42.5), (2010, 2, 40.0)]
-        assert series.kind == sc.PRICE
+        p = write_csv(tmp_path / "a.csv", ["2010,2,40.0", "2009,1,42.5", "2010,1,41"])
+        assert load_csv_series(p) == [(2, 40.0), (1, 42.5), (1, 41.0)]
 
     @pytest.mark.parametrize("blank", ["", "   ", " , ,\t"])
     def test_blank_rows_skipped(self, blank, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2010,1,42.5", blank, "2010,2,40.0", blank])
-        assert load_csv_series(p, sc.PRICE).points == [(2010, 1, 42.5), (2010, 2, 40.0)]
+        assert load_csv_series(p) == [(1, 42.5), (2, 40.0)]
 
     def test_header_only_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [])
         with pytest.raises(DataError, match="no rows"):
-            load_csv_series(p, sc.PRICE)
+            load_csv_series(p)
 
     def test_week_out_of_range_with_line_number(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2010,1,5.0", "2010,53,5.0"])
         with pytest.raises(DataError, match="week out of range at line 3"):
-            load_csv_series(p, sc.PRICE)
+            load_csv_series(p)
 
     def test_malformed_row_with_line_number(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2010,1,5.0", "2010,two,5.0"])
         with pytest.raises(DataError, match="line 3"):
-            load_csv_series(p, sc.PRICE)
+            load_csv_series(p)
+
+    def test_year_must_be_an_integer(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", ["2010,1,5.0", "2010.5,2,5.0"])
+        with pytest.raises(DataError, match="malformed row at line 3"):
+            load_csv_series(p)
 
     def test_negative_value_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2010,1,-5.0"])
         with pytest.raises(DataError, match="line 2"):
-            load_csv_series(p, sc.PRICE)
+            load_csv_series(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv_series(tmp_path / "nope.csv", sc.PRICE)
+            load_csv_series(tmp_path / "nope.csv")
 
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", ["2010,1,5.0"], header="a,b,c")
         with pytest.raises(DataError, match="header"):
-            load_csv_series(p, sc.PRICE)
+            load_csv_series(p)
 
 
 def bits(x):
@@ -115,52 +116,63 @@ class TestCsvRoundTrip:
 
 
 class TestBuildPools:
-    def test_max_price_normalizes_to_one(self):
-        price = full_series(sc.PRICE, 50.0)
-        price.points[0] = (2010, 1, 100.0)
-        pools = build_pools([price], [full_series(sc.INFLOW, 10.0)], r_max=1000.0)
+    def test_max_price_normalizes_to_one(self, tmp_path):
+        price = write_csv(tmp_path / "p.csv", ["2010,1,100.0"] +
+                          [f"2010,{w},50.0" for w in range(1, 53)])
+        pools = build_pools([price], [full_series(tmp_path / "i.csv", 10.0)], r_max=1000.0)
         assert pools.price_pool[0].max() == 1.0
         assert pools.price_max == 100.0
 
-    def test_inflow_scaled_by_r_max(self):
+    def test_inflow_scaled_by_r_max(self, tmp_path):
         # hand oracle: 50 / 1000 = 0.05
         pools = build_pools(
-            [full_series(sc.PRICE, 10.0)], [full_series(sc.INFLOW, 50.0)], r_max=1000.0
+            [full_series(tmp_path / "p.csv", 10.0)], [full_series(tmp_path / "i.csv", 50.0)],
+            r_max=1000.0,
         )
         assert pools.inflow_pool[7][0] == pytest.approx(0.05, rel=1e-12)
 
-    def test_inflow_above_capacity_clamped(self):
+    def test_inflow_above_capacity_clamped(self, tmp_path):
         pools = build_pools(
-            [full_series(sc.PRICE, 10.0)],
-            [full_series(sc.INFLOW, 1200.0)],
+            [full_series(tmp_path / "p.csv", 10.0)],
+            [full_series(tmp_path / "i.csv", 1200.0)],
             r_max=1000.0,
         )
         assert all(p[0] == 1.0 for p in pools.inflow_pool)
-        assert "clamped 52" in pools.provenance
+        assert pools.provenance == ("historic pools from 2 series; "
+                                    "clamped 52 inflow values above capacity")
 
-    def test_missing_week_rejected(self):
-        partial = RawSeries(
-            kind=sc.PRICE, points=[(2010, w, 1.0) for w in range(1, 52)], label="p"
-        )
+    def test_repeated_path_merged_twice_counted_once(self, tmp_path):
+        price = full_series(tmp_path / "p.csv", 10.0)
+        inflow = full_series(tmp_path / "i.csv", 5.0)
+        pools = build_pools([price, price], [inflow, price], r_max=100.0)
+        assert all(len(p) == 2 for p in pools.price_pool)
+        assert all(np.array_equal(p, [0.05, 0.1]) for p in pools.inflow_pool)
+        assert pools.provenance == "historic pools from 2 series"
+
+    def test_missing_week_rejected(self, tmp_path):
+        partial = full_series(tmp_path / "p.csv", weeks=range(1, 52))
         with pytest.raises(DataError, match="weeks \\[52\\]"):
-            build_pools([partial], [full_series(sc.INFLOW)], r_max=1000.0)
+            build_pools([partial], [full_series(tmp_path / "i.csv")], r_max=1000.0)
 
-    def test_all_zero_prices_rejected(self):
+    def test_all_zero_prices_rejected(self, tmp_path):
         with pytest.raises(DataError, match="zero"):
             build_pools(
-                [full_series(sc.PRICE, 0.0)], [full_series(sc.INFLOW)], r_max=1000.0
+                [full_series(tmp_path / "p.csv", 0.0)], [full_series(tmp_path / "i.csv")],
+                r_max=1000.0,
             )
 
     @pytest.mark.parametrize("r_max", [0.0, float("nan"), float("inf")])
-    def test_r_max_must_be_finite_and_positive(self, r_max):
+    def test_r_max_must_be_finite_and_positive(self, r_max, tmp_path):
         with pytest.raises(DataError, match="r_max must be finite and > 0"):
-            build_pools([full_series(sc.PRICE)], [full_series(sc.INFLOW)], r_max=r_max)
+            build_pools([full_series(tmp_path / "p.csv")], [full_series(tmp_path / "i.csv")],
+                        r_max=r_max)
 
-    def test_order_invariant(self):
+    def test_order_invariant(self, tmp_path):
         rng = np.random.default_rng(5)
-        a = RawSeries(sc.PRICE, [(2010, w, float(rng.uniform(1, 9))) for w in range(1, 53)], "a")
-        b = RawSeries(sc.PRICE, [(2011, w, float(rng.uniform(1, 9))) for w in range(1, 53)], "b")
-        inflow = full_series(sc.INFLOW, 5.0)
+        a, b = (write_csv(tmp_path / f"{name}.csv",
+                          [f"{year},{w},{rng.uniform(1, 9)!r}" for w in range(1, 53)])
+                for name, year in (("a", 2010), ("b", 2011)))
+        inflow = full_series(tmp_path / "i.csv", 5.0)
         p1 = build_pools([a, b], [inflow], r_max=100.0)
         p2 = build_pools([b, a], [inflow], r_max=100.0)
         for w in range(52):

@@ -80,11 +80,12 @@ def reference_run(tmp_path_factory):
 
 def params_digest(ckpt):
     h = hashlib.sha256()
-    for name in sorted(ckpt.networks):
-        for w, b, act in ckpt.networks[name]:
-            h.update(w.tobytes())
-            h.update(b.tobytes())
-            h.update(act.encode())
+    networks = ckpt.agent.networks()
+    for name in sorted(networks):
+        for layer in networks[name].layers:
+            h.update(layer.weight.tobytes())
+            h.update(layer.bias.tobytes())
+            h.update(layer.activation.encode())
     return h.hexdigest()
 
 
@@ -105,7 +106,7 @@ class TestTrain:
         from hydrosac.sac import AgentBundle
 
         fresh = AgentBundle.init(cfg.agent, np.random.default_rng(cfg.seed))
-        trained_agent = ckpt.restore_agent()
+        trained_agent = ckpt.agent
         for a, b in zip(fresh.policy.parameters(), trained_agent.policy.parameters()):
             assert np.array_equal(a, b)
         for a, b in zip(fresh.q1.parameters(), trained_agent.q1.parameters()):
@@ -322,8 +323,8 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        a1 = ckpt.restore_agent()
-        a2 = loaded.restore_agent()
+        a1 = ckpt.agent
+        a2 = loaded.agent
         rng = np.random.default_rng(0)
         for _ in range(100):
             obs = rng.random(5)
@@ -334,13 +335,15 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        for name in ckpt.networks:
-            for (w1, b1, act1), (w2, b2, act2) in zip(ckpt.networks[name], loaded.networks[name]):
-                assert np.array_equal(w1, w2)
-                assert np.array_equal(b1, b2)
-                assert act1 == act2
-        for name in ckpt.optimizer_states:
-            for a1, a2 in zip(ckpt.optimizer_states[name], loaded.optimizer_states[name]):
+        networks = loaded.agent.networks()
+        for name, net in ckpt.agent.networks().items():
+            for l1, l2 in zip(net.layers, networks[name].layers):
+                assert np.array_equal(l1.weight, l2.weight)
+                assert np.array_equal(l1.bias, l2.bias)
+                assert l1.activation == l2.activation
+        optimizers = loaded.agent.optimizers()
+        for name, opt in ckpt.agent.optimizers().items():
+            for a1, a2 in zip(opt.arrays, optimizers[name].arrays):
                 assert np.array_equal(a1, a2)
         assert loaded.rng_state == ckpt.rng_state
         assert loaded.episode == ckpt.episode
@@ -473,8 +476,8 @@ class TestCheckpointRoundTrip:
 def reference_checkpoint_text(ckpt):
     """The checkpoint as the one-shot encoder wrote it: the whole document, with
     every float as the string repr(float(x)), through one json.dump. It reads
-    the agent's layers and flat accumulators itself, not Checkpoint.networks
-    or .optimizer_states, which save_checkpoint reads."""
+    the agent's transposed weights and flat accumulators itself, not the
+    layers' weight and accumulator views, which save_checkpoint reads."""
     def floats(a):
         return [repr(float(x)) for x in np.asarray(a, dtype=float).ravel(order="C")]
 
@@ -488,7 +491,7 @@ def reference_checkpoint_text(ckpt):
 
     agent = ckpt.agent
     doc = {
-        "version": ckpt.version,
+        "version": tr.CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
             name: [{"rows": layer.wt.shape[1], "cols": layer.wt.shape[0],
@@ -571,14 +574,14 @@ class TestCheckpointBytes:
         _, trained_ckpt, _ = trained
         ckpt = edge_floats_everywhere(trained_ckpt)
         # the tamper wrote into a copy of the agent, not into the shared fixture's
-        assert not np.array_equal(trained_ckpt.networks["q1"][0][0].flat[:8], EDGE_FLOATS)
+        assert not np.array_equal(trained_ckpt.agent.q1.layers[0].weight.flat[:8], EDGE_FLOATS)
         path = tmp_path / "ck.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
         for name, saved in ckpt.replay.items():
             assert np.array_equal(loaded.replay[name].view(np.int64), saved.view(np.int64)), name
-        assert np.array_equal(loaded.networks["q1"][0][0].view(np.int64),
-                              ckpt.networks["q1"][0][0].view(np.int64))
+        assert np.array_equal(loaded.agent.q1.layers[0].weight.view(np.int64),
+                              ckpt.agent.q1.layers[0].weight.view(np.int64))
 
     @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
                               st.sampled_from(list(np.array(EDGE_FLOATS).view(np.int64)) + NAN_BITS)),
