@@ -102,6 +102,16 @@ def _seed(value):
     return value
 
 
+def _check_outputs(*outputs):
+    """Raise UsageError for an output (flag, path) whose directory does not exist or
+    that is itself a directory, so that it is found before any work, not at the write."""
+    for flag, path in outputs:
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+
+
 def _get_pools(args, artificial_cfg, seed):
     """Load pools from --pools, or generate artificial pools inline."""
     if getattr(args, "pools", None):
@@ -244,9 +254,7 @@ def cmd_gen_scenarios(args):
 def cmd_train(args):
     cfg, artificial, given = _settings(args)
     cfg.seed = _seed(cfg.seed if "seed" in given["train"] else None)
-    for flag, path in (("--out", args.out), ("--log", args.log)):
-        if not os.path.isdir(os.path.dirname(path) or "."):  # found before training, not after
-            raise UsageError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+    _check_outputs(("--out", args.out), ("--log", args.log))
     pools = _get_pools(args, artificial, cfg.seed)
     cfg.pools_path = args.pools or ""
     # Historic pools explore longer and value the end storage at the
@@ -297,6 +305,7 @@ def _warn_env_mismatch(args, ckpt):
 
 def cmd_evaluate(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
+    _check_outputs(("--out", args.out))
     _warn_env_mismatch(args, ckpt)
     _, artificial, _ = _settings(args)
     seed = _seed(args.seed)
@@ -315,6 +324,7 @@ def cmd_evaluate(args):
 
 def cmd_plan(args):
     ckpt = _load_checkpoint_or_die(args.checkpoint)
+    _check_outputs(("--out", args.out))
     seed = _seed(args.seed)
     _, artificial, _ = _settings(args)
     if args.scenario:

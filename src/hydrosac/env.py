@@ -4,6 +4,12 @@ All water quantities are fractions of the reservoir capacity r_max; prices
 are normalized to [0, 1]. A year is 52 weeks. Within a step the order is:
 the release is limited by the storage present before this week's inflow,
 the inflow is added, and flooding (spill) is checked last.
+
+`step` advances one year on Python floats; `step_years` advances a batch of
+years that share their week on (years,) arrays, and gives each year the
+bits `step` gives it. The price factor (price * k_price) ** q_price is
+always Python's `**`: on some hosts `np.power` differs from it in the last
+bit.
 """
 
 import dataclasses
@@ -166,6 +172,51 @@ def step(state, action, scenario, cfg):
     # in field order: next_state, reward, done, spill, effective_action,
     # terminal_bonus, end_storage
     return StepOutcome(next_state, step_reward, next_state is None, spill, a_eff, bonus, end)
+
+
+def price_factors(prices, cfg):
+    """(price * k_price) ** q_price of each element of `prices`, by Python's `**`."""
+    k, q = cfg.k_price, cfg.q_price
+    return np.array([(p * k) ** q for p in np.ravel(prices).tolist()]).reshape(np.shape(prices))
+
+
+def step_years(week, storage, factor, inflow, action, cfg):
+    """Advance every year of a batch through week `week`, each as `step` would.
+
+    storage, this week's price factor (see price_factors), inflow and action
+    are (years,) arrays. Returns the (years,) arrays (reward,
+    effective_action, spill, end_storage, terminal_bonus); the bonus is
+    zero before week 52 and is added to the reward in week 52 only.
+    """
+    valid = (action >= 0.0) & (action <= 1.0)  # NaN is not
+    if not valid.all():
+        raise ValueError(f"action {float(action[valid.argmin()])!r} outside [0, 1]")
+    if not 1 <= week <= WEEKS:
+        raise ValueError(f"week {week!r} outside 1..{WEEKS}")
+
+    # feasible_max_action, row by row: round down until a * f_max fits in storage
+    a_max = np.minimum(storage / cfg.f_max, 1.0)
+    over = (a_max < 1.0) & (a_max * cfg.f_max > storage)
+    while over.any():
+        a_max = np.where(over, np.nextafter(a_max, 0.0), a_max)
+        over &= a_max * cfg.f_max > storage
+    a_eff = np.where(action < a_max, action, a_max)
+    reward = a_eff * cfg.f_max * cfg.r_max * factor
+
+    release = a_eff * cfg.f_max
+    release = np.where(release > storage, storage, release)  # float-rounding guard
+    raw_end = storage - release + inflow
+    flooded = raw_end > 1.0
+    spill = np.where(flooded, raw_end - 1.0, 0.0)
+    end = np.where(flooded, 1.0, raw_end)
+
+    if week < WEEKS:
+        return reward, a_eff, spill, end, np.zeros(len(end))
+    if cfg.terminal_price_rule != LAST_WEEK_PRICE:
+        factor = (1.0 * cfg.k_price) ** cfg.q_price
+    in_window = (cfg.terminal_low <= end) & (end <= cfg.terminal_high)
+    bonus = np.where(in_window, end * cfg.r_max * factor, 0.0)
+    return reward + bonus, a_eff, spill, end, bonus
 
 
 def observe(state):

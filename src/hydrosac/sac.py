@@ -10,9 +10,10 @@ value network trails the value network by Polyak averaging. The Bellman
 target is computed here; the networks, the squash and its reverse pass,
 and the optimizer step are in neural.py.
 
-Acting is not done here: training, evaluation and planning wrap
-`policy.sample` or `policy.mean_action` in an `(obs_rows, rngs) -> actions`
-callable, which `trainer.play` calls once per week for all its years.
+Acting is not done here: evaluation and planning wrap `policy.sample` or
+`policy.mean_action` in an `(obs_rows, rngs) -> actions` callable, which
+`trainer.rollout` calls once per week for all its years, and training
+calls that callable on one row a week from `trainer.train`.
 """
 
 import copy

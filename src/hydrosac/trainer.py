@@ -1,24 +1,26 @@
 """Training orchestration, evaluation rollouts, and checkpoint persistence.
 
-Every simulated year, in training and in evaluation, is stepped by one
-generator, `play`, which steps a list of years in lock-step. Every action
-comes from a callable `action_fn(obs_rows, rngs) -> actions`, called once
-a week with obs_rows[i] the observation of year i and rngs[i] its
-generator, and returning one action in [0, 1] per year: uniform draws and
-then policy samples in training, the policy's mean or a sample in
-evaluation, or any baseline. The policy acts on the rows as a (years, 1, 5)
-stack, one matrix-vector product per row, so each year gets the bits it
-would get alone; a (years, 5) batch would run one matrix product, with
-other bits. Training plays one year at a time in one serialized loop
-driven by a single seeded generator; evaluation derives an independent
-generator per episode from (seed, episode index), plays all its episodes
-together and returns one (episodes, 52, 8) array of weekly traces, whose
-last accumulated reward, traces[:, -1, 6], is each episode's total. A
-Checkpoint holds the live agent it describes: saving reads the agent's
-arrays in place, and loading builds the agent its config echo describes,
-once, and writes the stored arrays into it. On disk it is a JSON document
-whose floating point numbers are written as full-precision decimal
-strings, so a save/load round trip reproduces every 64-bit value exactly.
+Training steps one year at a time with `play`, on Python floats, in one
+serialized loop driven by a single seeded generator: each week's action
+comes from `act(obs)`, a uniform draw during exploration and a policy
+sample afterwards. Evaluation and planning step all their years in
+lock-step with `rollout`, on (years,) arrays through `env.step_years`,
+which gives each year the bits `env.step` would. Their actions come from
+a callable `action_fn(obs_rows, rngs) -> actions`, called once a week with
+obs_rows a (years, 5) array whose row i is the observation of year i and
+rngs[i] its generator, and returning one action in [0, 1] per year: the
+policy's mean or a sample, or any baseline. The policy acts on the rows as
+a (years, 1, 5) stack, one matrix-vector product per row, so each year
+gets the bits it would get alone; a (years, 5) batch would run one matrix
+product, with other bits. Evaluation derives an independent generator per
+episode from (seed, episode index) and returns one (episodes, 52, 8) array
+of weekly traces, whose last accumulated reward, traces[:, -1, 6], is each
+episode's total. A Checkpoint holds the live agent it describes: saving
+reads the agent's arrays in place, and loading builds the agent its config
+echo describes, once, and writes the stored arrays into it. On disk it is
+a JSON document whose floating point numbers are written as full-precision
+decimal strings, so a save/load round trip reproduces every 64-bit value
+exactly.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import EnvConfig, UsageError, observe, reset, step
+from .env import EnvConfig, UsageError, observe, price_factors, reset, step, step_years
 from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
                   TrainingAborted, update)
 from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario, write_csv
@@ -146,33 +148,24 @@ class Checkpoint:
         return self.agent
 
 
-def play(action_fn, scenarios, env_cfg, rngs):
-    """Step the years `scenarios` in lock-step; yield (i, state, obs, action,
-    outcome, next_obs) for each year i, week by week.
+def play(action_fn, scenario, env_cfg, rng):
+    """Step the year `scenario`; yield (state, obs, action, outcome, next_obs) week by week.
 
-    Year i starts from reset(env_cfg, scenarios[i], rngs[i]). Each week's
-    actions come from one call action_fn(obs_rows, rngs), where obs_rows is
-    the list of the years' observation 5-vectors; action i is
-    float(actions[i]). The call is made only when the caller asks for the
-    week's first year, so whatever the caller's loop body does with a
-    generator between two weeks comes before the next actions' draws.
-    next_obs is the observation of outcome.next_state, or zeros after the
-    last week.
+    The year starts from reset(env_cfg, scenario, rng). Each week's action
+    is float(action_fn(obs)), called only when the caller asks for the
+    week, so whatever the caller's loop body does with the generator
+    between two weeks comes before the next action's draw. next_obs is the
+    observation of outcome.next_state, or zeros after the last week.
     """
-    years = range(len(scenarios))
-    states = [reset(env_cfg, scenario, rng) for scenario, rng in zip(scenarios, rngs)]
-    obs = [observe(state) for state in states]
-    for _ in range(WEEKS):
-        actions = action_fn(obs, rngs)
-        for i in years:
-            state = states[i]
-            action = float(actions[i])
-            outcome = step(state, action, scenarios[i], env_cfg)
-            next_state = outcome.next_state
-            next_obs = np.zeros(OBS_DIM) if next_state is None else observe(next_state)
-            yield i, state, obs[i], action, outcome, next_obs
-            states[i] = next_state
-            obs[i] = next_obs
+    state = reset(env_cfg, scenario, rng)
+    obs = observe(state)
+    while state is not None:
+        action = float(action_fn(obs))
+        outcome = step(state, action, scenario, env_cfg)
+        next_state = outcome.next_state
+        next_obs = np.zeros(OBS_DIM) if next_state is None else observe(next_state)
+        yield state, obs, action, outcome, next_obs
+        state, obs = next_state, next_obs
 
 
 def train(cfg, pools, checkpoint_path=None):
@@ -198,10 +191,10 @@ def train(cfg, pools, checkpoint_path=None):
 
     sample = policy_action_fn(agent.policy, deterministic=False)
 
-    def act(obs, rngs):
+    def act(obs):
         if steps_done < cfg.exploration_weeks:
-            return [rng.random()]
-        return sample(obs, rngs)
+            return rng.random()
+        return sample([obs], [rng])[0]
 
     while steps_done < cfg.total_weeks:
         t0 = time.perf_counter()
@@ -209,7 +202,7 @@ def train(cfg, pools, checkpoint_path=None):
         ep_reward = 0.0
         ep_spill = 0.0
         ep_action_sum = 0.0
-        for _, _, obs, action, outcome, next_obs in play(act, [scenario], cfg.env, [rng]):
+        for _, obs, action, outcome, next_obs in play(act, scenario, cfg.env, rng):
             buffer.push(obs, action, outcome.reward, next_obs, outcome.done)
             steps_done += 1
             if steps_done > cfg.exploration_weeks and len(buffer) >= cfg.batch_size:
@@ -247,19 +240,43 @@ def train(cfg, pools, checkpoint_path=None):
 
 
 def rollout(action_fn, scenarios, env_cfg, rngs):
-    """Play the years `scenarios` with action_fn(obs_rows, rngs) -> actions.
+    """Play the years `scenarios` in lock-step with action_fn(obs_rows, rngs) -> actions.
 
-    Returns the (years, 52, 8) float64 array of traces, whose rows are
-    (week, price, inflow, effective action, end-of-week storage, reward,
-    accumulated reward, spill); traces[:, -1, 6] is each year's total reward.
+    Year i starts from storage rngs[i].uniform(init_low, init_high), as
+    `reset` draws it. Each week fills one (years, 5) observation array with
+    `observe`'s arithmetic, calls action_fn once, and steps every year with
+    step_years. Returns the (years, 52, 8) float64 array of traces, whose
+    rows are (week, price, inflow, effective action, end-of-week storage,
+    reward, accumulated reward, spill); traces[:, -1, 6] is each year's
+    total reward.
     """
-    traces = np.empty((len(scenarios), WEEKS, 8))
-    totals = [0.0] * len(scenarios)  # a sum from 0.0 turns a first reward of -0.0 into +0.0
-    for i, state, _, _, outcome, _ in play(action_fn, scenarios, env_cfg, rngs):
-        totals[i] += outcome.reward
-        traces[i, state.week - 1] = (state.week, state.price, state.inflow,
-                                     outcome.effective_action, outcome.end_storage,
-                                     outcome.reward, totals[i], outcome.spill)
+    years = len(scenarios)
+    prices = np.array([s.prices for s in scenarios])
+    inflows = np.array([s.inflows for s in scenarios])
+    factors = price_factors(prices, env_cfg)
+    storage = np.array([rng.uniform(env_cfg.init_low, env_cfg.init_high) for rng in rngs])
+    traces = np.empty((years, WEEKS, 8))
+    traces[:, :, 0] = np.arange(1, WEEKS + 1)
+    traces[:, :, 1] = prices
+    traces[:, :, 2] = inflows
+    total = np.zeros(years)  # a sum from 0.0 turns a first reward of -0.0 into +0.0
+    for w in range(WEEKS):
+        obs = np.empty((years, OBS_DIM))
+        obs[:, 0] = (w + 1) / WEEKS
+        obs[:, 1] = storage
+        obs[:, 2] = prices[:, w]
+        obs[:, 3] = inflows[:, w]
+        obs[:, 4] = np.minimum(storage / env_cfg.f_max, float(WEEKS)) / WEEKS
+        actions = np.asarray(action_fn(obs, rngs), dtype=float).reshape(years)
+        reward, a_eff, spill, storage, _ = step_years(w + 1, storage, factors[:, w],
+                                                      inflows[:, w], actions, env_cfg)
+        total += reward
+        week = traces[:, w]
+        week[:, 3] = a_eff
+        week[:, 4] = storage
+        week[:, 5] = reward
+        week[:, 6] = total
+        week[:, 7] = spill
     return traces
 
 
@@ -268,7 +285,7 @@ def evaluate_policy_fn(action_fn, pools, env_cfg, n_episodes, seed):
 
     Episode i uses a generator derived from (seed, i), which draws its
     scenario, then its start storage and its actions; all episodes play
-    together, one action_fn call a week.
+    together in rollout, one action_fn call a week.
     """
     if n_episodes < 1:
         raise UsageError("n_episodes must be >= 1")

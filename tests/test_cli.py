@@ -1124,6 +1124,12 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("train", ["--log", "{nodir}/log.csv"], None, None, 2, "none/log.csv: directory "),
     ("plan", [], "{not json", None, 4, "is not valid JSON"),
     ("plan", ["--scenario", "{scenario}"], "{not json", None, 4, "is not valid JSON"),
+    ("evaluate", ["--out", "{nodir}/e.csv"], None, None, 2, "none/e.csv: directory "),
+    ("plan", ["--out", "{nodir}/p.csv"], None, None, 2, "none/p.csv: directory "),
+    ("train", ["--out", "{here}"], None, None, 2, " is a directory"),
+    ("train", ["--log", "{here}"], None, None, 2, " is a directory"),
+    ("evaluate", ["--out", "{here}"], None, None, 2, " is a directory"),
+    ("plan", ["--out", "{here}"], None, None, 2, " is a directory"),
 ], ids=[
     "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
@@ -1138,7 +1144,8 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
     "plan_config_missing", "plan_scenario_config_missing", "train_out_dir_missing",
     "train_log_dir_missing", "plan_config_corrupt",
-    "plan_scenario_config_corrupt",
+    "plan_scenario_config_corrupt", "evaluate_out_dir_missing", "plan_out_dir_missing",
+    "train_out_is_dir", "train_log_is_dir", "evaluate_out_is_dir", "plan_out_is_dir",
 ])
 def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
                                 trained_files, pools_file, scenario_file, capsys):
@@ -1146,7 +1153,7 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
     if env is not None:
         monkeypatch.setenv("HYDROSAC_SEED", env)
     argv = [arg.format(pools=pools_file, scenario=scenario_file, missing=tmp_path / "none.json",
-                       nodir=tmp_path / "none") for arg in argv]
+                       nodir=tmp_path / "none", here=tmp_path) for arg in argv]
     ckpt, _ = trained_files
     outputs = {
         "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),
@@ -1164,6 +1171,33 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
     assert message in capsys.readouterr().err
     # nothing is written: neither output, nor a missing --out or --log directory
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "plan"])
+@pytest.mark.parametrize("bad", ["missing_dir", "is_dir"])
+def test_bad_output_path_exits_before_any_episode(command, bad, tmp_path, monkeypatch,
+                                                  trained_files, pools_file, capsys):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode was played")
+
+    monkeypatch.setattr(tr, "rollout", no_episode)
+    monkeypatch.setattr(tr, "train", no_episode)
+    out = str(tmp_path / "none" / "out") if bad == "missing_dir" else str(tmp_path)
+    ckpt, _ = trained_files
+    argv = {"train": ["--pools", str(pools_file), "--total-weeks", "52", "--out", out],
+            "evaluate": ["--checkpoint", str(ckpt), "--pools", str(pools_file), "--out", out],
+            "plan": ["--checkpoint", str(ckpt), "--pools", str(pools_file), "--out", out]}
+    assert run([command, *argv[command]]) == 2
+    assert out in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plan"])
+def test_corrupt_checkpoint_exits_4_before_the_output_check(command, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text("{not json")
+    assert run([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "none" / "o.csv")]) == 4
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_every_settings_flag_names_a_config_field():

@@ -1,18 +1,23 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrosac.env import (
     LAST_WEEK_PRICE,
     MAX_PRICE,
+    TERMINAL_PRICE_RULES,
     EnvConfig,
     EnvState,
     feasible_max_action,
     observe,
+    price_factors,
     reset,
     reward,
     step,
+    step_years,
     terminal_value,
 )
 from hydrosac.scenario import Scenario
@@ -230,3 +235,124 @@ class TestObserve:
             )
             obs = observe(state)
             assert obs.min() >= 0.0 and obs.max() <= 1.0
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def scalar_steps(week, years, cfg):
+    """The scalar step's outcomes of each (storage, price, inflow, action) year,
+    as the five arrays step_years returns."""
+    outs = []
+    for storage, price, inflow, action in years:
+        state = EnvState(week, storage, price, inflow, storage / cfg.f_max)
+        out = step(state, action, make_scenario(price, inflow), cfg)
+        outs.append((out.reward, out.effective_action, out.spill, out.end_storage,
+                     out.terminal_bonus))
+    return [np.array(column) for column in zip(*outs)]
+
+
+def array_steps(week, years, cfg):
+    storage, price, inflow, action = map(np.array, zip(*years))
+    return step_years(week, storage, price_factors(price, cfg), inflow, action, cfg)
+
+
+# storage 0.0019305 at f_max 0.03: storage / f_max times f_max exceeds storage
+# by one ulp, so feasible_max_action rounds the quotient down once
+NEXTAFTER_STORAGE = 0.0019305
+WINDOW = dict(terminal_low=0.35, terminal_high=0.65)
+EDGE_CASES = {
+    "nextafter": (3, [(NEXTAFTER_STORAGE, 0.7, 0.0, 1.0), (0.5, 0.7, 0.0, 1.0)], EnvConfig()),
+    "spill": (10, [(0.99, 0.5, 0.2, 0.1), (1.0, 0.5, 1.0, 0.0)], EnvConfig()),
+    "window_edges_last_week_price": (52, [(0.35, 0.6, 0.0, 0.0), (0.65, 0.6, 0.0, 0.0),
+                                          (math.nextafter(0.65, 1.0), 0.6, 0.0, 0.0)],
+                                     EnvConfig(q_price=1.7, **WINDOW)),
+    "window_edges_max_price": (52, [(0.35, 0.6, 0.0, 0.0), (0.65, 0.6, 0.0, 0.0),
+                                    (math.nextafter(0.35, 0.0), 0.6, 0.0, 0.0)],
+                               EnvConfig(k_price=0.8, q_price=1.3,
+                                         terminal_price_rule=MAX_PRICE, **WINDOW)),
+    # an action of -0.0 earns -0.0, which week 52's bonus turns into +0.0
+    "negative_zero_reward": (1, [(0.5, 0.7, 0.01, -0.0), (0.5, 0.0, 0.01, 0.3)], EnvConfig()),
+    "negative_zero_last_week": (52, [(0.9, 0.7, 0.01, -0.0)], EnvConfig()),
+}
+
+
+@st.composite
+def step_batches(draw):
+    """(week, years, cfg): 1 to 6 years of (storage, price, inflow, action) sharing a week,
+    drawn among random floats and the values at which a branch of the step turns."""
+    low = draw(st.floats(0.0, 1.0))
+    high = draw(st.floats(low, 1.0))
+    cfg = EnvConfig(
+        r_max=draw(st.sampled_from([1000.0, 1.0]) | st.floats(1.0, 1e4)),
+        f_max=draw(st.sampled_from([0.03, 0.1, 1.0]) | st.floats(1e-3, 1.0)),
+        k_price=draw(st.sampled_from([1.0, 0.8]) | st.floats(0.1, 2.0)),
+        q_price=draw(st.sampled_from([1.0, 1.7, 0.5]) | st.floats(0.1, 3.0)),
+        terminal_low=low,
+        terminal_high=high,
+        terminal_price_rule=draw(st.sampled_from(TERMINAL_PRICE_RULES)),
+    )
+    week = draw(st.sampled_from([1, 51, 52]) | st.integers(1, 52))
+    unit = st.floats(0.0, 1.0)
+    storage = unit | st.sampled_from([0.0, 1.0, low, high, cfg.f_max, NEXTAFTER_STORAGE])
+    year = st.tuples(storage, unit, unit | st.just(0.0), unit | st.sampled_from([0.0, -0.0, 1.0]))
+    return week, draw(st.lists(year, min_size=1, max_size=6)), cfg
+
+
+class TestStepYears:
+    @given(step_batches())
+    @settings(max_examples=400, deadline=None)
+    @example(EDGE_CASES["nextafter"])
+    @example(EDGE_CASES["spill"])
+    @example(EDGE_CASES["window_edges_last_week_price"])
+    @example(EDGE_CASES["window_edges_max_price"])
+    @example(EDGE_CASES["negative_zero_reward"])
+    @example(EDGE_CASES["negative_zero_last_week"])
+    def test_bits_match_the_scalar_step(self, batch):
+        week, years, cfg = batch
+        for name, want, got in zip(("reward", "effective_action", "spill", "end_storage",
+                                    "terminal_bonus"),
+                                   scalar_steps(week, years, cfg), array_steps(week, years, cfg)):
+            assert np.array_equal(bits(want), bits(got)), name
+
+    def test_edge_cases_take_their_branches(self):
+        # each example above reaches the branch it is named for
+        _, years, cfg = EDGE_CASES["nextafter"]
+        storage = years[0][0]
+        assert storage / cfg.f_max < 1.0 and storage / cfg.f_max * cfg.f_max > storage
+        _, a_eff, *_ = array_steps(*EDGE_CASES["nextafter"])
+        assert a_eff[0] == math.nextafter(storage / cfg.f_max, 0.0)
+        _, _, spill, end, _ = array_steps(*EDGE_CASES["spill"])
+        assert spill.tolist() == [0.99 - 0.1 * 0.03 + 0.2 - 1.0, 1.0] and end.tolist() == [1.0, 1.0]
+        for name in ("window_edges_last_week_price", "window_edges_max_price"):
+            _, _, _, end, bonus = array_steps(*EDGE_CASES[name])
+            assert end.tolist()[:2] == [0.35, 0.65] and (bonus[:2] > 0).all() and bonus[2] == 0.0
+        rewards, *_ = array_steps(*EDGE_CASES["negative_zero_reward"])
+        assert bits(rewards[0]) == bits(-0.0)
+        rewards, *_ = array_steps(*EDGE_CASES["negative_zero_last_week"])
+        assert bits(rewards[0]) == bits(0.0)
+
+    @pytest.mark.parametrize("actions", [[0.5, 1.5, float("nan")], [0.5, float("nan"), -1.0],
+                                         [-0.5, 2.0]])
+    def test_first_bad_action_raises_the_scalar_message(self, actions):
+        first = next(a for a in actions if not 0.0 <= a <= 1.0)
+        with pytest.raises(ValueError) as scalar:
+            step(make_state(), first, make_scenario(), EnvConfig())
+        n = len(actions)
+        with pytest.raises(ValueError) as array:
+            step_years(1, np.full(n, 0.5), np.full(n, 0.8), np.full(n, 0.01), np.array(actions),
+                       EnvConfig())
+        assert str(array.value) == str(scalar.value)
+
+    def test_rejects_a_week_outside_the_year(self):
+        with pytest.raises(ValueError, match="week 53 outside 1..52"):
+            step_years(53, np.full(1, 0.5), np.full(1, 0.8), np.full(1, 0.01), np.full(1, 0.5),
+                       EnvConfig())
+
+
+def test_price_factors_are_python_powers():
+    cfg = EnvConfig(k_price=0.8, q_price=1.7)
+    prices = np.random.default_rng(3).random((4, 52))
+    want = [[(p * 0.8) ** 1.7 for p in row] for row in prices.tolist()]
+    assert np.array_equal(bits(price_factors(prices, cfg)), bits(want))

@@ -8,9 +8,11 @@ call, so every CSV output shares `scenario.write_csv`, the one place that
 formats a CSV number; `ReplayBuffer.ROWS` alone names the replay arrays.
 And `cli.main` alone turns a DataError into exit 4 and a UsageError,
 OSError or MemoryError into exit 2; a handler elsewhere in cli.py that
-caught one could give it another code. Every simulated year is stepped by
-`trainer.play`, the one episode loop, so no second loop can drift from
-it. The numeric code keeps to numpy's exp and log, whose bits the digests
+caught one could give it another code. A training year is stepped only by
+`trainer.play`, through the scalar `env.step`, and evaluation and planning
+years only by `trainer.rollout`, through the array `env.step_years`; each
+is the one loop of its kind, and tests hold the two steps to the same
+bits. The numeric code keeps to numpy's exp and log, whose bits the digests
 pin. `_kernels` only names the backend for the benchmark's environment
 record, so no module imports it.
 """
@@ -82,10 +84,12 @@ def test_replay_arrays_are_named_only_by_the_buffer():
     assert not literals & set(ReplayBuffer.ROWS), "trainer.py names a replay array"
 
 
-def test_years_are_stepped_only_by_play():
+def test_years_are_stepped_only_by_play_and_rollout():
     stepping = {(module, function, call) for module, tree in program_trees()
-                for function, call in calls(tree) if call.split(".")[-1] in ("step", "reset")}
-    assert stepping == {("trainer", "play", "reset"), ("trainer", "play", "step")}
+                for function, call in calls(tree)
+                if call.split(".")[-1] in ("step", "reset", "step_years")}
+    assert stepping == {("trainer", "play", "reset"), ("trainer", "play", "step"),
+                        ("trainer", "rollout", "step_years")}
 
 
 # Outside main, each handler in cli.py may catch only these, in these functions.

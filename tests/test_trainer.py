@@ -272,10 +272,9 @@ class TestPlay:
     def test_weeks_chain(self, pools):
         rng = np.random.default_rng(0)
         scenario = tr.sample_scenario(pools, rng)
-        weeks = list(play(random_policy, [scenario], EnvConfig(), [rng]))
-        assert [i for i, *_ in weeks] == [0] * 52
-        assert [state.week for _, state, *_ in weeks] == list(range(1, 53))
-        for (*_, outcome, next_obs), (_, _, obs, *_) in zip(weeks, weeks[1:]):
+        weeks = list(play(lambda obs: rng.random(), scenario, EnvConfig(), rng))
+        assert [state.week for state, *_ in weeks] == list(range(1, 53))
+        for (*_, outcome, next_obs), (_, obs, *_) in zip(weeks, weeks[1:]):
             assert not outcome.done and next_obs is obs
         *_, last, next_obs = weeks[-1]
         assert last.done and last.next_state is None
@@ -285,36 +284,16 @@ class TestPlay:
         # the caller's use of rng for week w comes before week w+1's action draw
         bodies_done = []
 
-        def action_fn(obs, rngs):
+        def action_fn(obs):
             bodies_done.append(len(seen))
-            return [0.5]
+            return 0.5
 
         seen = []
         rng = np.random.default_rng(1)
-        for _, _, _, action, _, _ in play(action_fn, [tr.sample_scenario(pools, rng)],
-                                          EnvConfig(), [rng]):
+        for _, _, action, _, _ in play(action_fn, tr.sample_scenario(pools, rng), EnvConfig(), rng):
             seen.append(action)
         assert bodies_done == list(range(52))
         assert seen == [0.5] * 52
-
-    def test_years_step_in_lock_step(self, pools):
-        # one action_fn call a week for all years, row i the observation of
-        # year i; then each year steps, in order
-        rngs = [np.random.default_rng(seed) for seed in (2, 3, 4)]
-        scenarios = [tr.sample_scenario(pools, rng) for rng in rngs]
-        calls = []
-
-        def action_fn(obs, rngs):
-            calls.append((len(weeks), obs.copy()))
-            return [0.25, 0.5, 0.75]
-
-        weeks = []
-        for i, state, obs, action, outcome, _ in play(action_fn, scenarios, EnvConfig(), rngs):
-            weeks.append((i, state.week, action))
-            assert np.array_equal(obs, env.observe(state))
-            assert np.array_equal(calls[-1][1][i], obs)
-        assert weeks == [(i, w, (i + 1) / 4) for w in range(1, 53) for i in range(3)]
-        assert [n for n, _ in calls] == list(range(0, 156, 3))
 
 
 class TestCheckpointRoundTrip:
@@ -686,6 +665,58 @@ class TestEvaluate:
             for a, b in zip(seven[:3], three, strict=True):
                 assert bits(a[-1, 6]) == bits(b[-1, 6])
                 assert np.array_equal(bits(a), bits(b))
+
+    def test_years_step_in_lock_step(self, pools):
+        # one action_fn call a week for all years, row i of its (years, 5)
+        # array the observation of year i, as a scalar loop over that year sees it
+        seeds = (2, 3, 4)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        scenarios = [tr.sample_scenario(pools, rng) for rng in rngs]
+        calls = []
+
+        def action_fn(obs, rngs):
+            calls.append(obs.copy())
+            return [0.25, 0.5, 0.75]
+
+        traces = rollout(action_fn, scenarios, EnvConfig(), rngs)
+        assert len(calls) == 52 and all(obs.shape == (3, 5) for obs in calls)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            scn = tr.sample_scenario(pools, rng)
+            state = env.reset(EnvConfig(), scn, rng)
+            for w in range(52):
+                assert np.array_equal(bits(calls[w][i]), bits(env.observe(state)))
+                out = env.step(state, (i + 1) / 4, scn, EnvConfig())
+                assert bits(traces[i, w, 3]) == bits(out.effective_action)
+                state = out.next_state
+
+    @pytest.mark.parametrize("env_cfg", [
+        EnvConfig(), EnvConfig(q_price=1.7),
+        EnvConfig(k_price=0.8, terminal_price_rule=env.MAX_PRICE, f_max=0.1),
+    ], ids=["default", "q_price_1.7", "k_price_0.8_max_price_f_max_0.1"])
+    @pytest.mark.parametrize("policy", ["random", 0, 1, -0.0], ids=["random", "0", "1", "-0.0"])
+    def test_baselines_match_a_plain_per_episode_loop(self, pools, env_cfg, policy):
+        # the scalar step, one episode after another, is the oracle for the lock-step rollout
+        action_fn = random_policy if policy == "random" else constant_policy(policy)
+        traces = evaluate_policy_fn(action_fn, pools, env_cfg, 7, seed=5)
+        for trace, seq in zip(traces, np.random.SeedSequence(5).spawn(7), strict=True):
+            rng = np.random.default_rng(seq)
+            scn = tr.sample_scenario(pools, rng)
+            state = env.reset(env_cfg, scn, rng)
+            total, rows = 0.0, []
+            while state is not None:
+                out = env.step(state, float(action_fn(None, [rng])[0]), scn, env_cfg)
+                total += out.reward
+                rows.append((state.week, state.price, state.inflow, out.effective_action,
+                             out.end_storage, out.reward, total, out.spill))
+                state = out.next_state
+            assert np.array_equal(bits(trace), bits(np.array(rows)))
+
+    def test_rejects_a_wrong_number_of_actions(self, pools):
+        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+        scenarios = [tr.sample_scenario(pools, rng) for rng in rngs]
+        with pytest.raises(ValueError):
+            rollout(lambda obs, rngs: [0.5], scenarios, EnvConfig(), rngs)
 
     def test_policy_fn_harness_rejects_no_episodes(self, pools):
         with pytest.raises(UsageError, match="n_episodes must be >= 1"):
