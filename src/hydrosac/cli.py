@@ -103,9 +103,12 @@ def _seed(value):
 
 
 def _check_outputs(*outputs):
-    """Raise UsageError for an output (flag, path) whose directory does not exist or
-    that is itself a directory, so that it is found before any work, not at the write."""
+    """Raise UsageError for an output (flag, path) that is empty, whose directory does
+    not exist or that is itself a directory, so that it is found before any work, not
+    at the write."""
     for flag, path in outputs:
+        if not path:
+            raise UsageError(f"{flag} must name a file, not an empty path")
         if os.path.isdir(path):
             raise UsageError(f"{flag} {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -223,6 +226,7 @@ def cmd_gen_scenarios(args):
     _, artificial, _ = _settings(args)
     artificial.validate()  # so that each mode rejects a bad setting with exit 2
     seed = _seed(args.seed)
+    _check_outputs(("--out", args.out))
     if args.mode == sc.ARTIFICIAL:
         pools = sc.generate_artificial_pools(artificial, seed)
     elif args.synthetic_historic:

@@ -5,11 +5,12 @@ are normalized to [0, 1]. A year is 52 weeks. Within a step the order is:
 the release is limited by the storage present before this week's inflow,
 the inflow is added, and flooding (spill) is checked last.
 
-`step` advances one year on Python floats; `step_years` advances a batch of
-years that share their week on (years,) arrays, and gives each year the
-bits `step` gives it. The price factor (price * k_price) ** q_price is
-always Python's `**`: on some hosts `np.power` differs from it in the last
-bit.
+`step` advances one year on Python floats: `trainer.train` steps each
+training year week by week with `reset`, `observe` and `step`.
+`step_years` advances a batch of years that share their week on (years,)
+arrays, for `trainer.rollout`, and gives each year the bits `step` gives
+it. The price factor (price * k_price) ** q_price is always Python's `**`:
+on some hosts `np.power` differs from it in the last bit.
 """
 
 import dataclasses
@@ -87,15 +88,11 @@ class StepOutcome:
     end_storage: float  # storage after release, inflow and spill
 
 
-def _make_state(week, storage, price, inflow, cfg):
-    # positional: a keyword call costs twice as much, once a week
-    return EnvState(week, storage, price, inflow, storage / cfg.f_max)
-
-
 def reset(cfg, scenario, rng):
     """Start a new year with storage drawn uniformly from the init window."""
     storage = float(rng.uniform(cfg.init_low, cfg.init_high))
-    return _make_state(1, storage, float(scenario.prices[0]), float(scenario.inflows[0]), cfg)
+    return EnvState(1, storage, float(scenario.prices[0]), float(scenario.inflows[0]),
+                    storage / cfg.f_max)
 
 
 def feasible_max_action(state, cfg):
@@ -161,14 +158,9 @@ def step(state, action, scenario, cfg):
         next_state = None
     else:
         bonus = 0.0
-        next_week = state.week + 1
-        next_state = _make_state(
-            next_week,
-            end,
-            float(scenario.prices[next_week - 1]),
-            float(scenario.inflows[next_week - 1]),
-            cfg,
-        )
+        # positional: a keyword call costs twice as much, once a week
+        next_state = EnvState(state.week + 1, end, float(scenario.prices[state.week]),
+                              float(scenario.inflows[state.week]), end / cfg.f_max)
     # in field order: next_state, reward, done, spill, effective_action,
     # terminal_bonus, end_storage
     return StepOutcome(next_state, step_reward, next_state is None, spill, a_eff, bonus, end)

@@ -12,8 +12,9 @@ and the optimizer step are in neural.py.
 
 Acting is not done here: evaluation and planning wrap `policy.sample` or
 `policy.mean_action` in an `(obs_rows, rngs) -> actions` callable, which
-`trainer.rollout` calls once per week for all its years, and training
-calls that callable on one row a week from `trainer.train`.
+`trainer.rollout` calls once per week for all its years, and
+`trainer.train`'s week loop calls `policy.sample` itself on one (1, 1, 5)
+row a week once exploration is over.
 """
 
 import copy

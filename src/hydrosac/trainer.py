@@ -1,26 +1,27 @@
 """Training orchestration, evaluation rollouts, and checkpoint persistence.
 
-Training steps one year at a time with `play`, on Python floats, in one
-serialized loop driven by a single seeded generator: each week's action
-comes from `act(obs)`, a uniform draw during exploration and a policy
-sample afterwards. Evaluation and planning step all their years in
-lock-step with `rollout`, on (years,) arrays through `env.step_years`,
-which gives each year the bits `env.step` would. Their actions come from
-a callable `action_fn(obs_rows, rngs) -> actions`, called once a week with
-obs_rows a (years, 5) array whose row i is the observation of year i and
-rngs[i] its generator, and returning one action in [0, 1] per year: the
-policy's mean or a sample, or any baseline. The policy acts on the rows as
-a (years, 1, 5) stack, one matrix-vector product per row, so each year
-gets the bits it would get alone; a (years, 5) batch would run one matrix
-product, with other bits. Evaluation derives an independent generator per
-episode from (seed, episode index) and returns one (episodes, 52, 8) array
-of weekly traces, whose last accumulated reward, traces[:, -1, 6], is each
-episode's total. A Checkpoint holds the live agent it describes: saving
-reads the agent's arrays in place, and loading builds the agent its config
-echo describes, once, and writes the stored arrays into it. On disk it is
-a JSON document whose floating point numbers are written as full-precision
-decimal strings, so a save/load round trip reproduces every 64-bit value
-exactly.
+`train` steps one year at a time, on Python floats, in one serialized
+loop driven by a single seeded generator: each year draws its scenario and
+its start storage (`sample_scenario`, `reset`), and each week draws its
+action, a uniform draw during exploration and a one-row policy sample
+afterwards, then steps, pushes and updates (`step`, `push`, `update`).
+Evaluation and planning step all their years in lock-step with `rollout`,
+on (years,) arrays through `env.step_years`, which gives each year the bits
+`env.step` would. Their actions come from a callable `action_fn(obs_rows,
+rngs) -> actions`, called once a week with obs_rows a (years, 5) array
+whose row i is the observation of year i and rngs[i] its generator, and
+returning one action in [0, 1] per year: the policy's mean or a sample, or
+any baseline. The policy acts on the rows as a (years, 1, 5) stack, one
+matrix-vector product per row, so each year gets the bits it would get
+alone; a (years, 5) batch would run one matrix product, with other bits.
+Evaluation derives an independent generator per episode from (seed,
+episode index) and returns one (episodes, 52, 8) array of weekly traces,
+whose last accumulated reward, traces[:, -1, 6], is each episode's total.
+A Checkpoint holds the live agent it describes: saving reads the agent's
+arrays in place, and loading builds the agent its config echo describes,
+once, and writes the stored arrays into it. On disk it is a JSON document
+whose floating point numbers are written as full-precision decimal
+strings, so a save/load round trip reproduces every 64-bit value exactly.
 """
 
 import dataclasses
@@ -148,33 +149,15 @@ class Checkpoint:
         return self.agent
 
 
-def play(action_fn, scenario, env_cfg, rng):
-    """Step the year `scenario`; yield (state, obs, action, outcome, next_obs) week by week.
-
-    The year starts from reset(env_cfg, scenario, rng). Each week's action
-    is float(action_fn(obs)), called only when the caller asks for the
-    week, so whatever the caller's loop body does with the generator
-    between two weeks comes before the next action's draw. next_obs is the
-    observation of outcome.next_state, or zeros after the last week.
-    """
-    state = reset(env_cfg, scenario, rng)
-    obs = observe(state)
-    while state is not None:
-        action = float(action_fn(obs))
-        outcome = step(state, action, scenario, env_cfg)
-        next_state = outcome.next_state
-        next_obs = np.zeros(OBS_DIM) if next_state is None else observe(next_state)
-        yield state, obs, action, outcome, next_obs
-        state, obs = next_state, next_obs
-
-
 def train(cfg, pools, checkpoint_path=None):
     """Run the training loop; returns (final Checkpoint, per-episode records).
 
     Episodes are whole years of 52 weeks; training stops at the first
-    episode boundary at or past cfg.total_weeks environment steps. Actions
-    are uniform random for the first exploration_weeks steps and sampled
-    from the policy afterwards; one gradient update runs per
+    episode boundary at or past cfg.total_weeks environment steps. Each
+    year draws its scenario, then its start storage; each week then draws
+    its action, steps, pushes the transition and updates. Actions are
+    uniform random for the first exploration_weeks steps and a one-row
+    policy sample afterwards; one gradient update runs per
     post-exploration step once the buffer holds a full batch. On a
     non-finite loss the partial records are attached to the raised
     TrainingAborted.
@@ -188,32 +171,37 @@ def train(cfg, pools, checkpoint_path=None):
     records = []
     steps_done = 0
     episode = 0
-
-    sample = policy_action_fn(agent.policy, deterministic=False)
-
-    def act(obs):
-        if steps_done < cfg.exploration_weeks:
-            return rng.random()
-        return sample([obs], [rng])[0]
+    env_cfg, exploration_weeks, batch_size = cfg.env, cfg.exploration_weeks, cfg.batch_size
+    policy = agent.policy
 
     while steps_done < cfg.total_weeks:
         t0 = time.perf_counter()
         scenario = sample_scenario(pools, rng)
+        state = reset(env_cfg, scenario, rng)
+        obs = observe(state)
         ep_reward = 0.0
         ep_spill = 0.0
         ep_action_sum = 0.0
-        for _, obs, action, outcome, next_obs in play(act, scenario, cfg.env, rng):
+        while state is not None:
+            if steps_done < exploration_weeks:
+                action = rng.random()
+            else:  # the acting stack: one (1, 1, 5) row with its own generator
+                action = float(policy.sample(obs[None, None], [rng])[0][0])
+            outcome = step(state, action, scenario, env_cfg)
+            state = outcome.next_state
+            next_obs = np.zeros(OBS_DIM) if state is None else observe(state)
             buffer.push(obs, action, outcome.reward, next_obs, outcome.done)
             steps_done += 1
-            if steps_done > cfg.exploration_weeks and len(buffer) >= cfg.batch_size:
+            if steps_done > exploration_weeks and len(buffer) >= batch_size:
                 try:
-                    update(agent, buffer.sample_arrays(cfg.batch_size, rng), rng)
+                    update(agent, buffer.sample_arrays(batch_size, rng), rng)
                 except TrainingAborted as e:
                     e.records = records
                     raise
             ep_reward += outcome.reward
             ep_spill += outcome.spill
             ep_action_sum += outcome.effective_action
+            obs = next_obs
         records.append(
             EpisodeRecord(
                 episode=episode,
@@ -230,6 +218,7 @@ def train(cfg, pools, checkpoint_path=None):
             checkpoint_path
             and cfg.checkpoint_every_episodes > 0
             and episode % cfg.checkpoint_every_episodes == 0
+            and steps_done < cfg.total_weeks  # the last episode's checkpoint is the final one
         ):
             save_checkpoint(Checkpoint.from_agent(cfg, agent, rng, episode, buffer), checkpoint_path)
 

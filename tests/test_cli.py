@@ -1130,6 +1130,14 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("train", ["--log", "{here}"], None, None, 2, " is a directory"),
     ("evaluate", ["--out", "{here}"], None, None, 2, " is a directory"),
     ("plan", ["--out", "{here}"], None, None, 2, " is a directory"),
+    ("gen-scenarios", ["--out", "{nodir}/pools.json"], None, None, 2, "none/pools.json: directory "),
+    ("gen-scenarios", ["--out", "{here}"], None, None, 2, " is a directory"),
+    # an empty path names no file, so no output could be written to it
+    ("train", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
+    ("train", ["--log", ""], None, None, 2, "--log must name a file, not an empty path"),
+    ("evaluate", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
+    ("plan", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
+    ("gen-scenarios", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
 ], ids=[
     "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
@@ -1146,6 +1154,8 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "train_log_dir_missing", "plan_config_corrupt",
     "plan_scenario_config_corrupt", "evaluate_out_dir_missing", "plan_out_dir_missing",
     "train_out_is_dir", "train_log_is_dir", "evaluate_out_is_dir", "plan_out_is_dir",
+    "gen_out_dir_missing", "gen_out_is_dir", "train_out_empty", "train_log_empty",
+    "evaluate_out_empty", "plan_out_empty", "gen_out_empty",
 ])
 def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
                                 trained_files, pools_file, scenario_file, capsys):
@@ -1173,22 +1183,25 @@ def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "plan"])
-@pytest.mark.parametrize("bad", ["missing_dir", "is_dir"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "plan", "gen-scenarios"])
+@pytest.mark.parametrize("bad", ["missing_dir", "is_dir", "empty"])
 def test_bad_output_path_exits_before_any_episode(command, bad, tmp_path, monkeypatch,
                                                   trained_files, pools_file, capsys):
     def no_episode(*args, **kwargs):
-        raise AssertionError("an episode was played")
+        raise AssertionError("an episode was played or pools were built")
 
     monkeypatch.setattr(tr, "rollout", no_episode)
     monkeypatch.setattr(tr, "train", no_episode)
-    out = str(tmp_path / "none" / "out") if bad == "missing_dir" else str(tmp_path)
+    monkeypatch.setattr(sc, "generate_artificial_pools", no_episode)
+    monkeypatch.setattr(sc, "build_pools", no_episode)
+    out = {"missing_dir": str(tmp_path / "none" / "out"), "is_dir": str(tmp_path), "empty": ""}[bad]
     ckpt, _ = trained_files
     argv = {"train": ["--pools", str(pools_file), "--total-weeks", "52", "--out", out],
             "evaluate": ["--checkpoint", str(ckpt), "--pools", str(pools_file), "--out", out],
-            "plan": ["--checkpoint", str(ckpt), "--pools", str(pools_file), "--out", out]}
+            "plan": ["--checkpoint", str(ckpt), "--pools", str(pools_file), "--out", out],
+            "gen-scenarios": ["--mode", "artificial", "--out", out]}
     assert run([command, *argv[command]]) == 2
-    assert out in capsys.readouterr().err
+    assert f"--out {out}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ formats a CSV number; `ReplayBuffer.ROWS` alone names the replay arrays.
 And `cli.main` alone turns a DataError into exit 4 and a UsageError,
 OSError or MemoryError into exit 2; a handler elsewhere in cli.py that
 caught one could give it another code. A training year is stepped only by
-`trainer.play`, through the scalar `env.step`, and evaluation and planning
+`trainer.train`, through the scalar `env.step`, and evaluation and planning
 years only by `trainer.rollout`, through the array `env.step_years`; each
 is the one loop of its kind, and tests hold the two steps to the same
 bits. The numeric code keeps to numpy's exp and log, whose bits the digests
@@ -84,11 +84,11 @@ def test_replay_arrays_are_named_only_by_the_buffer():
     assert not literals & set(ReplayBuffer.ROWS), "trainer.py names a replay array"
 
 
-def test_years_are_stepped_only_by_play_and_rollout():
+def test_years_are_stepped_only_by_train_and_rollout():
     stepping = {(module, function, call) for module, tree in program_trees()
                 for function, call in calls(tree)
                 if call.split(".")[-1] in ("step", "reset", "step_years")}
-    assert stepping == {("trainer", "play", "reset"), ("trainer", "play", "step"),
+    assert stepping == {("trainer", "train", "reset"), ("trainer", "train", "step"),
                         ("trainer", "rollout", "step_years")}
 
 

@@ -28,7 +28,6 @@ from hydrosac.trainer import (
     evaluate,
     evaluate_policy_fn,
     load_checkpoint,
-    play,
     random_policy,
     rollout,
     save_checkpoint,
@@ -139,6 +138,33 @@ class TestTrain:
         train(cfg, pools, checkpoint_path=path)
         assert path.exists()
         assert load_checkpoint(path).episode == 3
+
+    def test_last_checkpoint_saved_once(self, pools, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        saved = []  # (episode, file bytes) of each save
+
+        def recorded_save(ckpt, path):
+            save_checkpoint(ckpt, path)
+            saved.append((ckpt.episode, path.read_bytes()))
+
+        cfg = small_cfg(total_weeks=156, exploration_weeks=100, checkpoint_every_episodes=1)
+        monkeypatch.setattr(tr, "save_checkpoint", recorded_save)
+        ckpt, _ = train(cfg, pools, checkpoint_path=path)
+        assert [episode for episode, _ in saved] == [1, 2, 3]
+        # the file holds the returned checkpoint, as the last save wrote it
+        save_checkpoint(ckpt, tmp_path / "returned.json")
+        assert path.read_bytes() == saved[-1][1] == (tmp_path / "returned.json").read_bytes()
+
+    def test_replay_chains_each_year(self, pools):
+        # exploration ends inside the second year and two more years learn
+        cfg = small_cfg(total_weeks=208, exploration_weeks=70, include_replay_in_checkpoint=True)
+        ckpt, _ = train(cfg, pools)
+        replay = {name: a.reshape(4, 52, -1) for name, a in ckpt.replay.items()}
+        obs, next_obs, done = replay["obs"], replay["next_obs"], replay["done"]
+        assert np.array_equal(bits(next_obs[:, :-1]), bits(obs[:, 1:]))
+        assert np.array_equal(done[:, :, 0], np.tile([0.0] * 51 + [1.0], (4, 1)))
+        assert np.array_equal(bits(next_obs[:, -1]), bits(np.zeros((4, 5))))
+        assert np.array_equal(bits(obs[:, :, 0]), bits(np.tile(np.arange(1, 53) / 52, (4, 1))))
 
     def test_failed_periodic_save_keeps_previous_checkpoint(self, pools, tmp_path, monkeypatch):
         path = tmp_path / "ck.json"
@@ -266,34 +292,6 @@ class TestTrain:
                     small_cfg(agent=SacConfig(hidden_width=12, lr_policy=float("nan")))):
             with pytest.raises(ValueError, match="must be finite"):
                 train(cfg, pools)
-
-
-class TestPlay:
-    def test_weeks_chain(self, pools):
-        rng = np.random.default_rng(0)
-        scenario = tr.sample_scenario(pools, rng)
-        weeks = list(play(lambda obs: rng.random(), scenario, EnvConfig(), rng))
-        assert [state.week for state, *_ in weeks] == list(range(1, 53))
-        for (*_, outcome, next_obs), (_, obs, *_) in zip(weeks, weeks[1:]):
-            assert not outcome.done and next_obs is obs
-        *_, last, next_obs = weeks[-1]
-        assert last.done and last.next_state is None
-        assert np.array_equal(next_obs, np.zeros(5))
-
-    def test_action_drawn_after_the_loop_body(self, pools):
-        # the caller's use of rng for week w comes before week w+1's action draw
-        bodies_done = []
-
-        def action_fn(obs):
-            bodies_done.append(len(seen))
-            return 0.5
-
-        seen = []
-        rng = np.random.default_rng(1)
-        for _, _, action, _, _ in play(action_fn, tr.sample_scenario(pools, rng), EnvConfig(), rng):
-            seen.append(action)
-        assert bodies_done == list(range(52))
-        assert seen == [0.5] * 52
 
 
 class TestCheckpointRoundTrip:
