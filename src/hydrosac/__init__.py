@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .env import EnvConfig, EnvState, StepOutcome
+from .env import EnvConfig
 from .sac import AgentBundle, ReplayBuffer, SacConfig
 from .scenario import ArtificialConfig, Scenario, ScenarioPools
 from .trainer import Checkpoint, TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
@@ -12,12 +12,10 @@ __all__ = [
     "ArtificialConfig",
     "Checkpoint",
     "EnvConfig",
-    "EnvState",
     "ReplayBuffer",
     "SacConfig",
     "Scenario",
     "ScenarioPools",
-    "StepOutcome",
     "TrainConfig",
     "evaluate",
     "load_checkpoint",

@@ -5,19 +5,22 @@ are normalized to [0, 1]. A year is 52 weeks. Within a step the order is:
 the release is limited by the storage present before this week's inflow,
 the inflow is added, and flooding (spill) is checked last.
 
-`step` advances one year on Python floats: `trainer.train` steps each
-training year week by week with `reset`, `observe` and `step`.
-`step_years` advances a batch of years that share their week on (years,)
-arrays, for `trainer.rollout`, and gives each year the bits `step` gives
-it. The price factor (price * k_price) ** q_price is always Python's `**`:
-on some hosts `np.power` differs from it in the last bit.
+One week has one contract in two forms. `step(week, storage, price,
+inflow, action, cfg)` advances one year on Python floats, for
+`trainer.train`, which steps each training year week by week and builds
+each observation with `observe`. `step_years(week, storage, factor,
+inflow, action, cfg)` advances a batch of years that share their week on
+(years,) arrays, for `trainer.rollout`. Both return (reward,
+effective_action, spill, end_storage, terminal_bonus), and `step_years`
+gives each year the bits `step` gives it. The price factor (price *
+k_price) ** q_price is always Python's `**`: on some hosts `np.power`
+differs from it in the last bit.
 """
 
 import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,40 +71,13 @@ class EnvConfig:
             raise UsageError(f"terminal_price_rule must be one of {TERMINAL_PRICE_RULES}")
 
 
-@dataclass
-class EnvState:
-    week: int  # 1..52
-    storage: float  # fraction of r_max, in [0, 1]
-    price: float  # normalized, in [0, 1]
-    inflow: float  # fraction of r_max, in [0, 1]
-    weeks_to_empty: float  # storage / f_max
-
-
-@dataclass
-class StepOutcome:
-    next_state: Optional[EnvState]  # None once the year is over
-    reward: float
-    done: bool
-    spill: float  # fraction of r_max lost over the dam
-    effective_action: float
-    terminal_bonus: float
-    end_storage: float  # storage after release, inflow and spill
-
-
-def reset(cfg, scenario, rng):
-    """Start a new year with storage drawn uniformly from the init window."""
-    storage = float(rng.uniform(cfg.init_low, cfg.init_high))
-    return EnvState(1, storage, float(scenario.prices[0]), float(scenario.inflows[0]),
-                    storage / cfg.f_max)
-
-
-def feasible_max_action(state, cfg):
-    """Largest action whose release volume does not exceed current storage."""
-    a = state.storage / cfg.f_max
+def feasible_max_action(storage, cfg):
+    """Largest action whose release volume does not exceed `storage`."""
+    a = storage / cfg.f_max
     if a >= 1.0:
         return 1.0
     # Round down so a * f_max can never exceed storage in float arithmetic.
-    while a * cfg.f_max > state.storage:
+    while a * cfg.f_max > storage:
         a = math.nextafter(a, 0.0)
     return a
 
@@ -118,27 +94,28 @@ def terminal_value(end_storage, terminal_price, cfg):
     return end_storage * cfg.r_max * (terminal_price * cfg.k_price) ** cfg.q_price
 
 
-def step(state, action, scenario, cfg):
-    """Advance one week.
+def step(week, storage, price, inflow, action, cfg):
+    """Advance one year through week `week`, on Python floats.
 
     The requested action is clipped to the feasible maximum, revenue is
     earned at this week's price, the inflow arrives, and any excess above
-    capacity spills. At week 52 the episode ends and the end-of-year bonus
-    is added to the reward.
+    capacity spills. Returns (reward, effective_action, spill, end_storage,
+    terminal_bonus), as step_years does for each of its years; the bonus is
+    zero before week 52 and is added to the reward in week 52 only.
     """
     if not 0.0 <= action <= 1.0:
         raise ValueError(f"action {action!r} outside [0, 1]")
-    if not 1 <= state.week <= WEEKS:
-        raise ValueError(f"week {state.week!r} outside 1..{WEEKS}")
+    if not 1 <= week <= WEEKS:
+        raise ValueError(f"week {week!r} outside 1..{WEEKS}")
 
-    a_max = feasible_max_action(state, cfg)
+    a_max = feasible_max_action(storage, cfg)
     a_eff = action if action < a_max else a_max
-    step_reward = reward(a_eff, state.price, cfg)
+    step_reward = reward(a_eff, price, cfg)
 
     release = a_eff * cfg.f_max
-    if release > state.storage:  # float-rounding guard
-        release = state.storage
-    raw_end = state.storage - release + state.inflow
+    if release > storage:  # float-rounding guard
+        release = storage
+    raw_end = storage - release + inflow
     if raw_end > 1.0:
         spill = raw_end - 1.0
         end = 1.0
@@ -146,24 +123,13 @@ def step(state, action, scenario, cfg):
         spill = 0.0
         end = raw_end
 
-    if state.week == WEEKS:
-        if cfg.terminal_price_rule == LAST_WEEK_PRICE:
-            terminal_price = state.price
-        else:
-            terminal_price = 1.0
-        bonus = terminal_value(end, terminal_price, cfg)
-        # the bonus joins the reward only here: adding a 0.0 bonus would
-        # turn a -0.0 reward into +0.0
-        step_reward += bonus
-        next_state = None
-    else:
-        bonus = 0.0
-        # positional: a keyword call costs twice as much, once a week
-        next_state = EnvState(state.week + 1, end, float(scenario.prices[state.week]),
-                              float(scenario.inflows[state.week]), end / cfg.f_max)
-    # in field order: next_state, reward, done, spill, effective_action,
-    # terminal_bonus, end_storage
-    return StepOutcome(next_state, step_reward, next_state is None, spill, a_eff, bonus, end)
+    if week < WEEKS:
+        return step_reward, a_eff, spill, end, 0.0
+    terminal_price = price if cfg.terminal_price_rule == LAST_WEEK_PRICE else 1.0
+    bonus = terminal_value(end, terminal_price, cfg)
+    # the bonus joins the reward only here: adding a 0.0 bonus would turn a
+    # -0.0 reward into +0.0
+    return step_reward + bonus, a_eff, spill, end, bonus
 
 
 def price_factors(prices, cfg):
@@ -211,14 +177,7 @@ def step_years(week, storage, factor, inflow, action, cfg):
     return reward + bonus, a_eff, spill, end, bonus
 
 
-def observe(state):
+def observe(week, storage, price, inflow, cfg):
     """Network input: [week/52, storage, price, inflow, capped weeks-to-empty/52]."""
-    return np.array(
-        [
-            state.week / WEEKS,
-            state.storage,
-            state.price,
-            state.inflow,
-            min(state.weeks_to_empty, float(WEEKS)) / WEEKS,
-        ]
-    )
+    return np.array([week / WEEKS, storage, price, inflow,
+                     min(storage / cfg.f_max, float(WEEKS)) / WEEKS])

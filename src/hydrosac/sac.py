@@ -14,7 +14,9 @@ Acting is not done here: evaluation and planning wrap `policy.sample` or
 `policy.mean_action` in an `(obs_rows, rngs) -> actions` callable, which
 `trainer.rollout` calls once per week for all its years, and
 `trainer.train`'s week loop calls `policy.sample` itself on one (1, 1, 5)
-row a week once exploration is over.
+row a week once exploration is over. `update` checks its losses, which it
+computes before it steps, so a step that leaves non-finite weights shows
+first as a NaN action in that sample; `train` raises TrainingAborted for it.
 """
 
 import copy
@@ -45,7 +47,7 @@ OPTIMIZERS = ("policy", *NETWORKS[3:6])
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when an update produces a non-finite loss."""
+    """Raised when an update produces a non-finite loss, or the policy a NaN action."""
 
     def __init__(self, message, report=None, records=None):
         super().__init__(message)
@@ -125,6 +127,12 @@ class SacConfig:
             raise UsageError("rmsprop_rho must be in [0, 1)")
         if self.log_std_min > self.log_std_max:
             raise UsageError("log_std_min must be <= log_std_max")
+        if self.init_bound < 0:  # the width of a uniform draw
+            raise UsageError("init_bound must be >= 0")
+        if self.rmsprop_eps <= 0:  # 0 divides 0 by 0 on an untouched accumulator
+            raise UsageError("rmsprop_eps must be > 0")
+        if self.squash_prob_floor < 0:  # log(density + floor) needs a floor >= 0
+            raise UsageError("squash_prob_floor must be >= 0")
 
 
 @dataclass

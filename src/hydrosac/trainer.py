@@ -1,13 +1,16 @@
 """Training orchestration, evaluation rollouts, and checkpoint persistence.
 
 `train` steps one year at a time, on Python floats, in one serialized
-loop driven by a single seeded generator: each year draws its scenario and
-its start storage (`sample_scenario`, `reset`), and each week draws its
-action, a uniform draw during exploration and a one-row policy sample
-afterwards, then steps, pushes and updates (`step`, `push`, `update`).
-Evaluation and planning step all their years in lock-step with `rollout`,
-on (years,) arrays through `env.step_years`, which gives each year the bits
-`env.step` would. Their actions come from a callable `action_fn(obs_rows,
+loop driven by a single seeded generator: each year draws its scenario
+(`sample_scenario`) and then its start storage, uniform in the init
+window, and each week draws its action, a uniform draw during exploration
+and a one-row policy sample afterwards, then steps, pushes and updates
+(`env.step`, `push`, `update`); `train` builds each observation with
+`env.observe` and ends the year after week 52 itself. Evaluation and
+planning step all their years in lock-step with `rollout`, on (years,)
+arrays through `env.step_years`, which takes the arguments and returns
+the values `env.step` does, and gives each year the bits `env.step`
+would. Their actions come from a callable `action_fn(obs_rows,
 rngs) -> actions`, called once a week with obs_rows a (years, 5) array
 whose row i is the observation of year i and rngs[i] its generator, and
 returning one action in [0, 1] per year: the policy's mean or a sample, or
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .env import EnvConfig, UsageError, observe, price_factors, reset, step, step_years
+from .env import EnvConfig, UsageError, observe, price_factors, step, step_years
 from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
                   TrainingAborted, update)
 from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario, write_csv
@@ -158,9 +161,10 @@ def train(cfg, pools, checkpoint_path=None):
     its action, steps, pushes the transition and updates. Actions are
     uniform random for the first exploration_weeks steps and a one-row
     policy sample afterwards; one gradient update runs per
-    post-exploration step once the buffer holds a full batch. On a
-    non-finite loss the partial records are attached to the raised
-    TrainingAborted.
+    post-exploration step once the buffer holds a full batch. A non-finite
+    loss, or a NaN policy sample after a step that left non-finite weights,
+    raises TrainingAborted with the partial records attached; the sample's
+    abort carries the last update's LossReport.
     """
     cfg.validate()
     pools.validate()
@@ -172,42 +176,49 @@ def train(cfg, pools, checkpoint_path=None):
     steps_done = 0
     episode = 0
     env_cfg, exploration_weeks, batch_size = cfg.env, cfg.exploration_weeks, cfg.batch_size
+    init_low, init_high = env_cfg.init_low, env_cfg.init_high
     policy = agent.policy
+    report = None  # the last update's LossReport
 
     while steps_done < cfg.total_weeks:
         t0 = time.perf_counter()
         scenario = sample_scenario(pools, rng)
-        state = reset(env_cfg, scenario, rng)
-        obs = observe(state)
+        prices, inflows = scenario.prices.tolist(), scenario.inflows.tolist()
+        storage = float(rng.uniform(init_low, init_high))
+        obs = observe(1, storage, prices[0], inflows[0], env_cfg)
         ep_reward = 0.0
         ep_spill = 0.0
         ep_action_sum = 0.0
-        while state is not None:
+        for w in range(WEEKS):
             if steps_done < exploration_weeks:
                 action = rng.random()
             else:  # the acting stack: one (1, 1, 5) row with its own generator
                 action = float(policy.sample(obs[None, None], [rng])[0][0])
-            outcome = step(state, action, scenario, env_cfg)
-            state = outcome.next_state
-            next_obs = np.zeros(OBS_DIM) if state is None else observe(state)
-            buffer.push(obs, action, outcome.reward, next_obs, outcome.done)
+                if action != action:  # NaN: the last policy step left non-finite weights
+                    raise TrainingAborted("non-finite action from the policy", report, records)
+            r, a_eff, spill, storage, bonus = step(w + 1, storage, prices[w], inflows[w],
+                                                   action, env_cfg)
+            done = w == WEEKS - 1
+            next_obs = (np.zeros(OBS_DIM) if done else
+                        observe(w + 2, storage, prices[w + 1], inflows[w + 1], env_cfg))
+            buffer.push(obs, action, r, next_obs, done)
             steps_done += 1
             if steps_done > exploration_weeks and len(buffer) >= batch_size:
                 try:
-                    update(agent, buffer.sample_arrays(batch_size, rng), rng)
+                    report = update(agent, buffer.sample_arrays(batch_size, rng), rng)
                 except TrainingAborted as e:
                     e.records = records
                     raise
-            ep_reward += outcome.reward
-            ep_spill += outcome.spill
-            ep_action_sum += outcome.effective_action
+            ep_reward += r
+            ep_spill += spill
+            ep_action_sum += a_eff
             obs = next_obs
         records.append(
             EpisodeRecord(
                 episode=episode,
                 total_reward=ep_reward,
-                terminal_bonus=outcome.terminal_bonus,
-                end_storage=outcome.end_storage,
+                terminal_bonus=bonus,
+                end_storage=storage,
                 total_spill=ep_spill,
                 mean_action=ep_action_sum / WEEKS,
                 seconds=time.perf_counter() - t0,
@@ -232,7 +243,7 @@ def rollout(action_fn, scenarios, env_cfg, rngs):
     """Play the years `scenarios` in lock-step with action_fn(obs_rows, rngs) -> actions.
 
     Year i starts from storage rngs[i].uniform(init_low, init_high), as
-    `reset` draws it. Each week fills one (years, 5) observation array with
+    `train` draws it. Each week fills one (years, 5) observation array with
     `observe`'s arithmetic, calls action_fn once, and steps every year with
     step_years. Returns the (years, 52, 8) float64 array of traces, whose
     rows are (week, price, inflow, effective action, end-of-week storage,

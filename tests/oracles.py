@@ -86,7 +86,7 @@ def episode_starts(pools, cfg, n_episodes, seed):
     """(scenario, start storage) of each episode of evaluate_policy_fn(..., n_episodes, seed).
 
     Each episode's generator is derived from (seed, i) as there, and draws
-    its scenario and then its start storage, as sample_scenario and reset do.
+    its scenario and then its start storage, as sample_scenario and rollout do.
     """
     starts = []
     for seq in np.random.SeedSequence(seed).spawn(n_episodes):

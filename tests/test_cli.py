@@ -212,6 +212,22 @@ class TestTrain:
         assert code == 3
         assert log.exists()  # partial log retained
 
+    def test_policy_divergence_exit_code(self, tmp_path, pools_file, capsys):
+        # the policy step leaves non-finite weights; the next one-row sample is NaN
+        log = tmp_path / "log.csv"
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = run([
+                "train", "--pools", str(pools_file), "--total-weeks", "208",
+                "--exploration-weeks", "52", "--batch-size", "20",
+                "--hidden-width", "12", "--seed", "1", "--lr-policy", "1e300",
+                "--out", str(tmp_path / "ck.json"), "--log", str(log),
+            ])
+        assert code == 3
+        assert len(log.read_text().splitlines()) == 2  # header and the exploration year
+        err = capsys.readouterr().err
+        assert "training aborted: non-finite action from the policy (report: LossReport(" in err
+        assert not (tmp_path / "ck.json").exists()
+
     @pytest.mark.filterwarnings("error")  # numpy warnings would reach stderr outside pytest
     def test_zero_weeks_runs_no_episode(self, tmp_path, pools_file, capsys):
         ckpt = tmp_path / "ck.json"
@@ -1106,6 +1122,14 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
      "rmsprop_rho must be in [0, 1)"),
     ("train", [], {"train": {"agent": {"log_std_min": 3, "log_std_max": -3}}}, None, 2,
      "log_std_min must be <= log_std_max"),
+    # a negative bound is a uniform draw of negative width
+    ("train", [], {"train": {"agent": {"init_bound": -1}}}, None, 2, "init_bound must be >= 0"),
+    # a negative eps trains to exit 0, and 0 divides 0 by 0 on an untouched accumulator
+    ("train", [], {"train": {"agent": {"rmsprop_eps": -1}}}, None, 2, "rmsprop_eps must be > 0"),
+    ("train", [], {"train": {"agent": {"rmsprop_eps": 0}}}, None, 2, "rmsprop_eps must be > 0"),
+    # the update would take the log of a negative density
+    ("train", [], {"train": {"agent": {"squash_prob_floor": -0.5}}}, None, 2,
+     "squash_prob_floor must be >= 0"),
     ("train", ["--pools", "{pools}", "--r-max", "nan"], None, None, 2,
      "r_max must be finite, got nan"),
     ("train", ["--pools", "{pools}", "--r-max", "inf"], None, None, 2,
@@ -1147,8 +1171,9 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "train_checkpoint_every_negative", "train_alpha_nan", "train_lr_policy_nan",
     "file_lr_q_inf", "train_lr_q_negative", "train_lr_policy_negative",
     "train_lr_value_negative", "file_rmsprop_rho_above_one", "file_rmsprop_rho_one",
-    "file_rmsprop_rho_negative", "file_log_std_bounds_crossed", "train_pools_r_max_nan",
-    "train_pools_r_max_inf", "train_annual_inflow_inf",
+    "file_rmsprop_rho_negative", "file_log_std_bounds_crossed", "file_init_bound_negative",
+    "file_rmsprop_eps_negative", "file_rmsprop_eps_zero", "file_squash_prob_floor_negative",
+    "train_pools_r_max_nan", "train_pools_r_max_inf", "train_annual_inflow_inf",
     "file_k_price_huge_int", "file_alpha_huge_int", "gen_price_low_huge_int",
     "plan_config_missing", "plan_scenario_config_missing", "train_out_dir_missing",
     "train_log_dir_missing", "plan_config_corrupt",
@@ -1213,9 +1238,12 @@ def test_corrupt_checkpoint_exits_4_before_the_output_check(command, tmp_path, c
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+# each config section, by the name of its flags' prefix and of its config file key
+CONFIG_SECTIONS = {"train": tr.TrainConfig, "agent": SacConfig, "env": EnvConfig,
+                   "artificial": ArtificialConfig}
+
+
 def test_every_settings_flag_names_a_config_field():
-    sections = {"train": tr.TrainConfig, "agent": SacConfig, "env": EnvConfig,
-                "artificial": ArtificialConfig}
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     counts = {}
@@ -1224,11 +1252,48 @@ def test_every_settings_flag_names_a_config_field():
         for action in parser._actions:
             if "." in action.dest:
                 section, field = action.dest.split(".")
-                names = {f.name for f in dataclasses.fields(sections[section])}
+                names = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
                 assert field in names, f"{command} {action.option_strings}: no field {action.dest}"
                 assert action.default is argparse.SUPPRESS
                 counts[command] += 1
     assert counts == {"gen-scenarios": 6, "train": 27, "evaluate": 14, "plan": 5, "inspect": 0}
+
+
+def edge_settings():
+    """(section, field, value) of every numeric config field at each edge value."""
+    for section, cls in CONFIG_SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if f.type is int:
+                values = (-1, 0, 1, 3)
+            elif f.type is float:
+                values = (-1.0, 0.0, 1e-300, 2.0, 1e300, -1e300)
+            else:
+                continue
+            for value in values:
+                yield section, f.name, value
+
+
+def test_every_numeric_setting_exits_0_2_or_3(tmp_path, monkeypatch, capsys):
+    # a new config field is swept without an edit; no value may crash train
+    monkeypatch.delenv("HYDROSAC_SEED", raising=False)
+    path = tmp_path / "cfg.json"
+    outputs = ["--out", str(tmp_path / "ck.json"), "--log", str(tmp_path / "log.csv")]
+    failures = []
+    for section, name, value in edge_settings():
+        doc = {"train": {"total_weeks": 104, "exploration_weeks": 52, "batch_size": 10,
+                         "agent": {"hidden_width": 4}},
+               "artificial": {"samples_per_week": 3}}
+        (doc["train"]["agent"] if section == "agent" else doc.setdefault(section, {}))[name] = value
+        path.write_text(json.dumps(doc))
+        try:
+            with np.errstate(all="ignore"):
+                code = run(["train", "--config", str(path), *outputs])
+        except Exception as e:  # an escape is a failure, reported with the rest
+            code = f"{type(e).__name__}: {e}"
+        capsys.readouterr()
+        if code not in (0, 2, 3):
+            failures.append((section, name, value, code))
+    assert failures == []
 
 
 # Each size is PiB, past any address space, so numpy refuses it before

@@ -10,77 +10,33 @@ from hydrosac.env import (
     MAX_PRICE,
     TERMINAL_PRICE_RULES,
     EnvConfig,
-    EnvState,
     feasible_max_action,
     observe,
     price_factors,
-    reset,
     reward,
     step,
     step_years,
     terminal_value,
 )
-from hydrosac.scenario import Scenario
-
-
-def make_scenario(price=0.8, inflow=0.01):
-    return Scenario(prices=np.full(52, price), inflows=np.full(52, inflow))
-
-
-def make_state(week=1, storage=0.5, price=0.8, inflow=0.01, f_max=0.03):
-    return EnvState(
-        week=week, storage=storage, price=price, inflow=inflow,
-        weeks_to_empty=storage / f_max,
-    )
-
-
-class TestReset:
-    def test_degenerate_interval(self):
-        cfg = EnvConfig(init_low=0.5, init_high=0.5)
-        state = reset(cfg, make_scenario(), np.random.default_rng(0))
-        assert state.storage == 0.5
-        assert state.week == 1
-
-    def test_initial_storage_window(self):
-        cfg = EnvConfig()
-        rng = np.random.default_rng(1)
-        scn = make_scenario()
-        storages = [reset(cfg, scn, rng).storage for _ in range(10_000)]
-        assert min(storages) >= 0.4
-        assert max(storages) <= 0.6
-
-    def test_weeks_to_empty(self):
-        cfg = EnvConfig(init_low=0.5, init_high=0.5, f_max=0.03)
-        state = reset(cfg, make_scenario(), np.random.default_rng(0))
-        assert state.weeks_to_empty == pytest.approx(0.5 / 0.03, rel=1e-12)
-
-    def test_takes_week_one_scenario_values(self):
-        scn = make_scenario(price=0.3, inflow=0.07)
-        state = reset(EnvConfig(), scn, np.random.default_rng(0))
-        assert state.price == 0.3
-        assert state.inflow == 0.07
 
 
 class TestFeasibleMaxAction:
     def test_ample_storage(self):
-        assert feasible_max_action(make_state(storage=0.5), EnvConfig()) == 1.0
+        assert feasible_max_action(0.5, EnvConfig()) == 1.0
 
     def test_limited_storage(self):
-        a = feasible_max_action(make_state(storage=0.015), EnvConfig(f_max=0.03))
+        a = feasible_max_action(0.015, EnvConfig(f_max=0.03))
         assert a == pytest.approx(0.5, rel=1e-12)
 
     def test_empty_reservoir(self):
-        assert feasible_max_action(make_state(storage=0.0), EnvConfig()) == 0.0
+        assert feasible_max_action(0.0, EnvConfig()) == 0.0
 
     def test_release_never_exceeds_storage(self):
         rng = np.random.default_rng(2)
-        cfg_base = EnvConfig()
         for _ in range(5000):
             f_max = float(rng.uniform(0.001, 1.0))
             storage = float(rng.uniform(0.0, 1.0)) * f_max  # scarce region
-            state = make_state(storage=storage, f_max=f_max)
-            cfg = EnvConfig(f_max=f_max)
-            a = feasible_max_action(state, cfg)
+            a = feasible_max_action(storage, EnvConfig(f_max=f_max))
             assert a * f_max <= storage
 
 
@@ -122,53 +78,47 @@ class TestTerminalValue:
 
 
 class TestStep:
+    # step(week, storage, price, inflow, action, cfg) returns
+    # (reward, effective_action, spill, end_storage, terminal_bonus)
     def test_mass_balance_by_hand(self):
         # storage 0.5, full action releases f_max=0.03, inflow 0.02 -> 0.49
-        state = make_state(storage=0.5, inflow=0.02)
-        out = step(state, 1.0, make_scenario(inflow=0.02), EnvConfig())
-        assert out.effective_action == 1.0
-        assert out.end_storage == pytest.approx(0.49, rel=1e-12)
-        assert out.spill == 0.0
+        _, a_eff, spill, end, _ = step(1, 0.5, 0.8, 0.02, 1.0, EnvConfig())
+        assert a_eff == 1.0
+        assert end == pytest.approx(0.49, rel=1e-12)
+        assert spill == 0.0
 
     def test_flooding(self):
-        state = make_state(storage=0.99, inflow=0.05)
-        out = step(state, 0.0, make_scenario(inflow=0.05), EnvConfig())
-        assert out.end_storage == 1.0
-        assert out.spill == pytest.approx(0.04, rel=1e-9)
-        assert out.reward == 0.0
+        r, _, spill, end, _ = step(1, 0.99, 0.8, 0.05, 0.0, EnvConfig())
+        assert end == 1.0
+        assert spill == pytest.approx(0.04, rel=1e-9)
+        assert r == 0.0
 
     def test_feasibility_clamp(self):
-        state = make_state(storage=0.01, inflow=0.0)
-        out = step(state, 1.0, make_scenario(inflow=0.0), EnvConfig(f_max=0.03))
-        assert out.effective_action == pytest.approx(1.0 / 3.0, rel=1e-9)
-        assert out.end_storage == pytest.approx(0.0, abs=1e-15)
+        _, a_eff, _, end, _ = step(1, 0.01, 0.8, 0.0, 1.0, EnvConfig(f_max=0.03))
+        assert a_eff == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert end == pytest.approx(0.0, abs=1e-15)
 
-    def test_week_advances_with_scenario_values(self):
-        scn = Scenario(prices=np.linspace(0.1, 1.0, 52), inflows=np.linspace(0, 0.05, 52))
-        state = make_state(week=1, price=float(scn.prices[0]), inflow=float(scn.inflows[0]))
-        out = step(state, 0.5, scn, EnvConfig())
-        assert out.next_state.week == 2
-        assert out.next_state.price == scn.prices[1]
-        assert out.next_state.inflow == scn.inflows[1]
+    def test_earns_this_weeks_price_and_adds_this_weeks_inflow(self):
+        cfg = EnvConfig(q_price=1.7)
+        r, a_eff, _, end, bonus = step(7, 0.5, 0.3, 0.02, 0.5, cfg)
+        assert r == reward(0.5, 0.3, cfg) and a_eff == 0.5
+        assert end == 0.5 - 0.5 * cfg.f_max + 0.02
+        assert bonus == 0.0
 
     def test_terminal_week_adds_bonus(self):
         cfg = EnvConfig(terminal_price_rule=LAST_WEEK_PRICE)
-        state = make_state(week=52, storage=0.5, price=0.6, inflow=0.0)
-        out = step(state, 0.0, make_scenario(), cfg)
-        assert out.done
-        assert out.next_state is None
-        assert out.terminal_bonus == pytest.approx(300.0, rel=1e-12)
-        assert out.reward == pytest.approx(300.0, rel=1e-12)
+        r, _, _, _, bonus = step(52, 0.5, 0.6, 0.0, 0.0, cfg)
+        assert bonus == pytest.approx(300.0, rel=1e-12)
+        assert r == pytest.approx(300.0, rel=1e-12)
 
     def test_terminal_max_price_rule(self):
         cfg = EnvConfig(terminal_price_rule=MAX_PRICE)
-        state = make_state(week=52, storage=0.5, price=0.6, inflow=0.0)
-        out = step(state, 0.0, make_scenario(), cfg)
-        assert out.terminal_bonus == pytest.approx(500.0, rel=1e-12)
+        *_, bonus = step(52, 0.5, 0.6, 0.0, 0.0, cfg)
+        assert bonus == pytest.approx(500.0, rel=1e-12)
 
     def test_rejects_bad_action(self):
         with pytest.raises(ValueError):
-            step(make_state(), 1.5, make_scenario(), EnvConfig())
+            step(1, 0.5, 0.8, 0.01, 1.5, EnvConfig())
 
     @given(
         storage=st.floats(0.0, 1.0),
@@ -180,32 +130,29 @@ class TestStep:
     @settings(max_examples=300, deadline=None)
     def test_mass_balance_property(self, storage, action, inflow, price, f_max):
         cfg = EnvConfig(f_max=f_max)
-        state = make_state(storage=storage, price=price, inflow=inflow, f_max=f_max)
-        out = step(state, action, make_scenario(price, inflow), cfg)
-        released = out.effective_action * f_max
-        assert abs(out.end_storage + out.spill + released - (storage + inflow)) < 1e-12
-        if out.spill > 0:
-            assert out.end_storage == 1.0
-        assert out.end_storage >= 0.0
+        _, a_eff, spill, end, _ = step(1, storage, price, inflow, action, cfg)
+        released = a_eff * f_max
+        assert abs(end + spill + released - (storage + inflow)) < 1e-12
+        if spill > 0:
+            assert end == 1.0
+        assert end >= 0.0
         assert released <= storage + 1e-18
 
-    def test_full_year_emits_done_once(self):
-        scn = make_scenario()
+    def test_full_year_pays_the_bonus_once(self):
+        # the year ends after week 52: only that week pays a bonus, and there is no week 53
         cfg = EnvConfig()
-        state = reset(cfg, scn, np.random.default_rng(5))
-        dones = []
-        for _ in range(52):
-            out = step(state, 0.5, scn, cfg)
-            dones.append(out.done)
-            if not out.done:
-                state = out.next_state
-        assert dones == [False] * 51 + [True]
+        storage, bonuses = 0.5, []
+        for week in range(1, 53):
+            _, _, _, storage, bonus = step(week, storage, 0.8, 0.003, 0.1, cfg)  # holds 0.5
+            bonuses.append(bonus)
+        assert [b > 0.0 for b in bonuses] == [False] * 51 + [True]
+        with pytest.raises(ValueError, match="week 53 outside 1..52"):
+            step(53, storage, 0.8, 0.003, 0.1, cfg)
 
 
 class TestObserve:
     def test_hand_case(self):
-        state = make_state(week=52, storage=1.0, price=1.0, inflow=1.0, f_max=0.03)
-        obs = observe(state)
+        obs = observe(52, 1.0, 1.0, 1.0, EnvConfig(f_max=0.03))
         assert obs[0] == 1.0
         assert obs[1] == 1.0
         assert obs[2] == 1.0
@@ -213,27 +160,24 @@ class TestObserve:
         assert obs[4] == pytest.approx((1.0 / 0.03) / 52, rel=1e-12)
 
     def test_empty_reservoir(self):
-        state = make_state(week=1, storage=0.0, price=0.4, inflow=0.2)
-        obs = observe(state)
+        obs = observe(1, 0.0, 0.4, 0.2, EnvConfig())
         assert obs[0] == pytest.approx(1 / 52, rel=1e-12)
         assert obs[1] == 0.0
         assert obs[4] == 0.0
 
     def test_weeks_to_empty_capped(self):
-        state = make_state(storage=1.0, f_max=0.001)
-        assert observe(state)[4] == 1.0
+        assert observe(1, 1.0, 0.8, 0.01, EnvConfig(f_max=0.001))[4] == 1.0
 
     def test_all_components_in_unit_interval(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            state = make_state(
-                week=int(rng.integers(1, 53)),
-                storage=float(rng.uniform(0, 1)),
-                price=float(rng.uniform(0, 1)),
-                inflow=float(rng.uniform(0, 1)),
-                f_max=float(rng.uniform(0.001, 1)),
+            obs = observe(
+                int(rng.integers(1, 53)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(0, 1)),
+                EnvConfig(f_max=float(rng.uniform(0.001, 1))),
             )
-            obs = observe(state)
             assert obs.min() >= 0.0 and obs.max() <= 1.0
 
 
@@ -244,12 +188,8 @@ def bits(a):
 def scalar_steps(week, years, cfg):
     """The scalar step's outcomes of each (storage, price, inflow, action) year,
     as the five arrays step_years returns."""
-    outs = []
-    for storage, price, inflow, action in years:
-        state = EnvState(week, storage, price, inflow, storage / cfg.f_max)
-        out = step(state, action, make_scenario(price, inflow), cfg)
-        outs.append((out.reward, out.effective_action, out.spill, out.end_storage,
-                     out.terminal_bonus))
+    outs = [step(week, storage, price, inflow, action, cfg)
+            for storage, price, inflow, action in years]
     return [np.array(column) for column in zip(*outs)]
 
 
@@ -338,7 +278,7 @@ class TestStepYears:
     def test_first_bad_action_raises_the_scalar_message(self, actions):
         first = next(a for a in actions if not 0.0 <= a <= 1.0)
         with pytest.raises(ValueError) as scalar:
-            step(make_state(), first, make_scenario(), EnvConfig())
+            step(1, 0.5, 0.8, 0.01, first, EnvConfig())
         n = len(actions)
         with pytest.raises(ValueError) as array:
             step_years(1, np.full(n, 0.5), np.full(n, 0.8), np.full(n, 0.01), np.array(actions),

@@ -87,9 +87,8 @@ def test_replay_arrays_are_named_only_by_the_buffer():
 def test_years_are_stepped_only_by_train_and_rollout():
     stepping = {(module, function, call) for module, tree in program_trees()
                 for function, call in calls(tree)
-                if call.split(".")[-1] in ("step", "reset", "step_years")}
-    assert stepping == {("trainer", "train", "reset"), ("trainer", "train", "step"),
-                        ("trainer", "rollout", "step_years")}
+                if call.split(".")[-1] in ("step", "step_years")}
+    assert stepping == {("trainer", "train", "step"), ("trainer", "rollout", "step_years")}
 
 
 # Outside main, each handler in cli.py may catch only these, in these functions.

@@ -1,5 +1,7 @@
 import copy
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import io
 import json
@@ -61,7 +63,37 @@ def trained(pools):
     return cfg, ckpt, records
 
 
-VERSIONS = f"digests taken with numpy 2.4.6 and OpenBLAS 0.3.31; this is numpy {np.__version__}"
+def blas_core():
+    """The core name the OpenBLAS bundled with numpy runs, or "unknown"."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)  # already loaded by numpy: same handle
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def numpy_dispatch():
+    """The target numpy dispatches float64 exp, log and power to, as "exp X86_V4, ..."."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="^(exp|log|power)$", signature="float64")
+        return ", ".join(f"{name} {target['current']}" for name, sigs in info.items()
+                         for target in sigs.values())
+    except (ImportError, KeyError, TypeError):
+        return "unknown"
+
+
+def kernel_set():
+    """Failure note of a digest test: the digests hold for one kernel set, not one version."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"].get("version")
+    return ("digests taken with numpy 2.4.6 (exp X86_V4, log X86_V4, power X86_V4) and "
+            "OpenBLAS 0.3.31 (core SkylakeX); this is numpy "
+            f"{np.__version__} ({numpy_dispatch()}) and OpenBLAS {blas} (core {blas_core()})")
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +198,39 @@ class TestTrain:
         assert np.array_equal(bits(next_obs[:, -1]), bits(np.zeros((4, 5))))
         assert np.array_equal(bits(obs[:, :, 0]), bits(np.tile(np.arange(1, 53) / 52, (4, 1))))
 
+    def test_each_year_starts_at_week_one_in_the_init_window(self, pools, monkeypatch):
+        # each year observes its own scenario's week-1 price and inflow, then
+        # each later week's, from a start storage drawn inside the init window
+        scenarios = []
+
+        def recorded(pools, rng):
+            scenarios.append(sc.sample_scenario(pools, rng))
+            return scenarios[-1]
+
+        monkeypatch.setattr(tr, "sample_scenario", recorded)
+        cfg = small_cfg(total_weeks=52 * 200, exploration_weeks=52 * 199,
+                        include_replay_in_checkpoint=True)
+        ckpt, _ = train(cfg, pools)
+        obs = ckpt.replay["obs"].reshape(200, 52, 5)
+        assert len(scenarios) == 200
+        assert np.array_equal(bits(obs[:, :, 2]), bits([s.prices for s in scenarios]))
+        assert np.array_equal(bits(obs[:, :, 3]), bits([s.inflows for s in scenarios]))
+        first = obs[:, 0]
+        assert (first[:, 0] == 1 / 52).all()
+        assert first[:, 1].min() >= 0.4 and first[:, 1].max() <= 0.6
+        assert len(np.unique(first[:, 1])) == 200  # drawn, not fixed
+        want = [min(s / 0.03, 52.0) / 52 for s in first[:, 1].tolist()]  # weeks to empty
+        assert np.array_equal(bits(first[:, 4]), bits(want))
+
+    def test_degenerate_init_window_starts_at_init_low(self, pools):
+        env_cfg = EnvConfig(init_low=0.5, init_high=0.5, f_max=0.03)
+        cfg = small_cfg(total_weeks=156, exploration_weeks=100, env=env_cfg,
+                        include_replay_in_checkpoint=True)
+        ckpt, _ = train(cfg, pools)
+        first = ckpt.replay["obs"][::52]
+        assert first[:, 1].tolist() == [0.5] * 3
+        assert first[:, 4] == pytest.approx(0.5 / 0.03 / 52, rel=1e-12)
+
     def test_failed_periodic_save_keeps_previous_checkpoint(self, pools, tmp_path, monkeypatch):
         path = tmp_path / "ck.json"
         cfg = small_cfg(total_weeks=156, exploration_weeks=156, checkpoint_every_episodes=1)
@@ -213,6 +278,24 @@ class TestTrain:
                 train(cfg, pools)
         assert exc_info.value.records is not None
 
+    def test_nan_policy_sample_aborts_with_the_last_report(self, pools, monkeypatch):
+        # a policy step with a huge rate leaves non-finite weights behind finite
+        # losses; the next week's one-row sample is NaN
+        reports = []
+
+        def recorded(*args):
+            reports.append(update(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(tr, "update", recorded)
+        cfg = small_cfg(total_weeks=208, exploration_weeks=52)
+        cfg.agent.lr_policy = 1e300
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(TrainingAborted, match="non-finite action from the policy") as e:
+                train(cfg, pools)
+        assert [r.episode for r in e.value.records] == [0]  # the exploration year
+        assert reports and e.value.report is reports[-1] and e.value.report.finite()
+
     @pytest.mark.parametrize("total_weeks, rows", [(0, 0), (52, 52), (53, 104), (100, 104)])
     def test_replay_allocated_once_and_filled(self, total_weeks, rows, pools, monkeypatch):
         buffers = []
@@ -241,8 +324,8 @@ class TestTrain:
         log_digest = hashlib.sha256(
             "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()).hexdigest()
         ckpt_digest = hashlib.sha256((reference_run / "ck.json").read_bytes()).hexdigest()
-        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed ({VERSIONS})"
-        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed ({VERSIONS})"
+        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed: {kernel_set()}"
+        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed: {kernel_set()}"
 
     def test_reference_checkpoint_serves_byte_identical(self, reference_run, tmp_path):
         # Training never takes the policy's mean action, so the digests above
@@ -259,7 +342,7 @@ class TestTrain:
             out = tmp_path / f"{i}.csv"
             assert cli.main(argv + ["--checkpoint", ck, "--pools", pl, "--out", str(out)]) == 0
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            assert digest[:16] == expected, f"{name} output changed ({VERSIONS})"
+            assert digest[:16] == expected, f"{name} output changed: {kernel_set()}"
 
     def test_reference_checkpoint_prints_the_csv_totals(self, reference_run, tmp_path, capsys):
         # the printed totals come from the traces, the CSV from their rows: both must agree
@@ -630,7 +713,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", [1, 7, 37])
     @pytest.mark.parametrize("deterministic", [True, False])
     def test_matches_a_plain_per_episode_loop(self, reference_run, n, deterministic):
-        # an oracle apart from play and rollout: one episode after another,
+        # an oracle apart from rollout: one episode after another,
         # each stepped by hand, the policy acting on a (1, 5) batch
         ckpt = load_checkpoint(reference_run / "ck.json")
         pools = sc.load_pools(reference_run / "pools.json")
@@ -640,16 +723,15 @@ class TestEvaluate:
         for trace, seq in zip(traces, np.random.SeedSequence(41).spawn(n)):
             rng = np.random.default_rng(seq)
             scn = tr.sample_scenario(pools, rng)
-            state = env.reset(env_cfg, scn, rng)
+            storage = float(rng.uniform(env_cfg.init_low, env_cfg.init_high))
             total, rows = 0.0, []
-            while state is not None:
-                obs = env.observe(state)[None]
+            for week, price, inflow in zip(range(1, 53), scn.prices.tolist(), scn.inflows.tolist()):
+                obs = env.observe(week, storage, price, inflow, env_cfg)[None]
                 action = policy.mean_action(obs) if deterministic else policy.sample(obs, rng)[0]
-                out = env.step(state, float(action[0]), scn, env_cfg)
-                total += out.reward
-                rows.append((state.week, state.price, state.inflow, out.effective_action,
-                             out.end_storage, out.reward, total, out.spill))
-                state = out.next_state
+                reward, a_eff, spill, storage, _ = env.step(week, storage, price, inflow,
+                                                            float(action[0]), env_cfg)
+                total += reward
+                rows.append((week, price, inflow, a_eff, storage, reward, total, spill))
             assert np.array_equal(bits(trace), bits(np.array(rows)))
             assert bits(trace[-1, 6]) == bits(total)
 
@@ -681,12 +763,13 @@ class TestEvaluate:
         for i, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             scn = tr.sample_scenario(pools, rng)
-            state = env.reset(EnvConfig(), scn, rng)
-            for w in range(52):
-                assert np.array_equal(bits(calls[w][i]), bits(env.observe(state)))
-                out = env.step(state, (i + 1) / 4, scn, EnvConfig())
-                assert bits(traces[i, w, 3]) == bits(out.effective_action)
-                state = out.next_state
+            storage = float(rng.uniform(0.4, 0.6))  # EnvConfig's init window
+            for w, (price, inflow) in enumerate(zip(scn.prices.tolist(), scn.inflows.tolist())):
+                obs = env.observe(w + 1, storage, price, inflow, EnvConfig())
+                assert np.array_equal(bits(calls[w][i]), bits(obs))
+                _, a_eff, _, storage, _ = env.step(w + 1, storage, price, inflow, (i + 1) / 4,
+                                                   EnvConfig())
+                assert bits(traces[i, w, 3]) == bits(a_eff)
 
     @pytest.mark.parametrize("env_cfg", [
         EnvConfig(), EnvConfig(q_price=1.7),
@@ -700,14 +783,13 @@ class TestEvaluate:
         for trace, seq in zip(traces, np.random.SeedSequence(5).spawn(7), strict=True):
             rng = np.random.default_rng(seq)
             scn = tr.sample_scenario(pools, rng)
-            state = env.reset(env_cfg, scn, rng)
+            storage = float(rng.uniform(env_cfg.init_low, env_cfg.init_high))
             total, rows = 0.0, []
-            while state is not None:
-                out = env.step(state, float(action_fn(None, [rng])[0]), scn, env_cfg)
-                total += out.reward
-                rows.append((state.week, state.price, state.inflow, out.effective_action,
-                             out.end_storage, out.reward, total, out.spill))
-                state = out.next_state
+            for week, price, inflow in zip(range(1, 53), scn.prices.tolist(), scn.inflows.tolist()):
+                reward, a_eff, spill, storage, _ = env.step(
+                    week, storage, price, inflow, float(action_fn(None, [rng])[0]), env_cfg)
+                total += reward
+                rows.append((week, price, inflow, a_eff, storage, reward, total, spill))
             assert np.array_equal(bits(trace), bits(np.array(rows)))
 
     def test_rejects_a_wrong_number_of_actions(self, pools):
