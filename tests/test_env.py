@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hydrosac import scenario as sc
+from hydrosac import trainer as tr
 from hydrosac.env import (
     LAST_WEEK_PRICE,
     MAX_PRICE,
@@ -18,6 +20,61 @@ from hydrosac.env import (
     step_years,
     terminal_value,
 )
+from hydrosac.sac import SacConfig
+from hydrosac.scenario import ArtificialConfig, generate_artificial_pools
+from hydrosac.trainer import TrainConfig, train
+
+YEARS = 200
+
+
+def trained_years(env_cfg, years):
+    """(scenarios, obs): the scenario train draws for each year and the
+    observation of each (year, week), read back from the replay memory."""
+    pools = generate_artificial_pools(ArtificialConfig(samples_per_week=10), seed=17)
+    scenarios = []
+
+    def recorded(pools, rng):
+        scenarios.append(sc.sample_scenario(pools, rng))
+        return scenarios[-1]
+
+    cfg = TrainConfig(total_weeks=52 * years, exploration_weeks=52 * (years - 1),
+                      batch_size=20, seed=123, agent=SacConfig(hidden_width=12),
+                      env=env_cfg, include_replay_in_checkpoint=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "sample_scenario", recorded)
+        ckpt, _ = train(cfg, pools)
+    assert len(scenarios) == years
+    return scenarios, ckpt.replay["obs"].reshape(years, 52, 5)
+
+
+@pytest.fixture(scope="module")
+def years():
+    return trained_years(EnvConfig(), YEARS)
+
+
+class TestReset:
+    # each year starts in week 1 from a storage train draws in the init window
+    def test_degenerate_interval(self):
+        _, obs = trained_years(EnvConfig(init_low=0.5, init_high=0.5), 3)
+        assert obs[:, 0, 1].tolist() == [0.5] * 3
+        assert obs[:, 0, 0].tolist() == [1 / 52] * 3
+
+    def test_initial_storage_window(self, years):
+        _, obs = years
+        first = obs[:, 0, 1]
+        assert first.min() >= 0.4 and first.max() <= 0.6
+        assert len(np.unique(first)) == YEARS  # drawn, not fixed
+
+    def test_weeks_to_empty(self):
+        _, obs = trained_years(EnvConfig(init_low=0.5, init_high=0.5, f_max=0.03), 3)
+        assert obs[:, 0, 4] == pytest.approx(0.5 / 0.03 / 52, rel=1e-12)
+
+    def test_takes_week_one_scenario_values(self, years):
+        scenarios, obs = years
+        assert np.array_equal(bits(obs[:, 0, 2]), bits([s.prices[0] for s in scenarios]))
+        assert np.array_equal(bits(obs[:, 0, 3]), bits([s.inflows[0] for s in scenarios]))
+        want = [min(s / 0.03, 52.0) / 52 for s in obs[:, 0, 1].tolist()]  # weeks to empty
+        assert np.array_equal(bits(obs[:, 0, 4]), bits(want))
 
 
 class TestFeasibleMaxAction:
@@ -104,6 +161,13 @@ class TestStep:
         assert r == reward(0.5, 0.3, cfg) and a_eff == 0.5
         assert end == 0.5 - 0.5 * cfg.f_max + 0.02
         assert bonus == 0.0
+
+    def test_week_advances_with_scenario_values(self, years):
+        # after each step, train observes the next week's price and inflow
+        scenarios, obs = years
+        assert np.array_equal(bits(obs[:, :, 0]), bits(np.tile(np.arange(1, 53) / 52, (YEARS, 1))))
+        assert np.array_equal(bits(obs[:, :, 2]), bits([s.prices for s in scenarios]))
+        assert np.array_equal(bits(obs[:, :, 3]), bits([s.inflows for s in scenarios]))
 
     def test_terminal_week_adds_bonus(self):
         cfg = EnvConfig(terminal_price_rule=LAST_WEEK_PRICE)

@@ -198,39 +198,6 @@ class TestTrain:
         assert np.array_equal(bits(next_obs[:, -1]), bits(np.zeros((4, 5))))
         assert np.array_equal(bits(obs[:, :, 0]), bits(np.tile(np.arange(1, 53) / 52, (4, 1))))
 
-    def test_each_year_starts_at_week_one_in_the_init_window(self, pools, monkeypatch):
-        # each year observes its own scenario's week-1 price and inflow, then
-        # each later week's, from a start storage drawn inside the init window
-        scenarios = []
-
-        def recorded(pools, rng):
-            scenarios.append(sc.sample_scenario(pools, rng))
-            return scenarios[-1]
-
-        monkeypatch.setattr(tr, "sample_scenario", recorded)
-        cfg = small_cfg(total_weeks=52 * 200, exploration_weeks=52 * 199,
-                        include_replay_in_checkpoint=True)
-        ckpt, _ = train(cfg, pools)
-        obs = ckpt.replay["obs"].reshape(200, 52, 5)
-        assert len(scenarios) == 200
-        assert np.array_equal(bits(obs[:, :, 2]), bits([s.prices for s in scenarios]))
-        assert np.array_equal(bits(obs[:, :, 3]), bits([s.inflows for s in scenarios]))
-        first = obs[:, 0]
-        assert (first[:, 0] == 1 / 52).all()
-        assert first[:, 1].min() >= 0.4 and first[:, 1].max() <= 0.6
-        assert len(np.unique(first[:, 1])) == 200  # drawn, not fixed
-        want = [min(s / 0.03, 52.0) / 52 for s in first[:, 1].tolist()]  # weeks to empty
-        assert np.array_equal(bits(first[:, 4]), bits(want))
-
-    def test_degenerate_init_window_starts_at_init_low(self, pools):
-        env_cfg = EnvConfig(init_low=0.5, init_high=0.5, f_max=0.03)
-        cfg = small_cfg(total_weeks=156, exploration_weeks=100, env=env_cfg,
-                        include_replay_in_checkpoint=True)
-        ckpt, _ = train(cfg, pools)
-        first = ckpt.replay["obs"][::52]
-        assert first[:, 1].tolist() == [0.5] * 3
-        assert first[:, 4] == pytest.approx(0.5 / 0.03 / 52, rel=1e-12)
-
     def test_failed_periodic_save_keeps_previous_checkpoint(self, pools, tmp_path, monkeypatch):
         path = tmp_path / "ck.json"
         cfg = small_cfg(total_weeks=156, exploration_weeks=156, checkpoint_every_episodes=1)
