@@ -73,8 +73,10 @@ def _settings(args):
         "env": _section(doc, "env", path),
         "artificial": _section(doc, "artificial", path),
     }
+    if "r_max" in sections["env"]:  # the reservoir's r_max also sizes the pools generated inline
+        sections["artificial"].setdefault("r_max", sections["env"]["r_max"])
     flags = {key: value for key, value in vars(args).items() if "." in key}
-    if "env.r_max" in flags:  # --r-max also sizes the pools generated inline
+    if "env.r_max" in flags:  # and so does --r-max, over both sections of the file
         flags["artificial.r_max"] = flags["env.r_max"]
     for key, value in flags.items():
         section, name = key.split(".")

@@ -5,14 +5,13 @@ are normalized to [0, 1]. A year is 52 weeks. Within a step the order is:
 the release is limited by the storage present before this week's inflow,
 the inflow is added, and flooding (spill) is checked last.
 
-One week has one contract in two forms. `step(week, storage, price,
-inflow, action, cfg)` advances one year on Python floats, for
-`trainer.train`, which steps each training year week by week and builds
-each observation with `observe`. `step_years(week, storage, factor,
-inflow, action, cfg)` advances a batch of years that share their week on
-(years,) arrays, for `trainer.rollout`. Both return (reward,
-effective_action, spill, end_storage, terminal_bonus), and `step_years`
-gives each year the bits `step` gives it. The price factor (price *
+The week has one contract in two forms that take the same arguments:
+`step(week, storage, price, inflow, action, cfg)` and `observe(week,
+storage, price, inflow, cfg)` on Python floats, for `trainer.train`, and
+`step_years` and `observe_years` on (years,) arrays of years that share
+their week, for `trainer.rollout`. Both steppers return (reward,
+effective_action, spill, end_storage, terminal_bonus), and an array form
+gives each year the bits of its scalar form. The price factor (price *
 k_price) ** q_price is always Python's `**`: on some hosts `np.power`
 differs from it in the last bit.
 """
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WEEKS = 52
+OBS_DIM = 5  # the length of observe's row
 
 LAST_WEEK_PRICE = "last_week_price"
 MAX_PRICE = "max_price"
@@ -132,19 +132,13 @@ def step(week, storage, price, inflow, action, cfg):
     return step_reward + bonus, a_eff, spill, end, bonus
 
 
-def price_factors(prices, cfg):
-    """(price * k_price) ** q_price of each element of `prices`, by Python's `**`."""
-    k, q = cfg.k_price, cfg.q_price
-    return np.array([(p * k) ** q for p in np.ravel(prices).tolist()]).reshape(np.shape(prices))
-
-
-def step_years(week, storage, factor, inflow, action, cfg):
+def step_years(week, storage, price, inflow, action, cfg):
     """Advance every year of a batch through week `week`, each as `step` would.
 
-    storage, this week's price factor (see price_factors), inflow and action
-    are (years,) arrays. Returns the (years,) arrays (reward,
-    effective_action, spill, end_storage, terminal_bonus); the bonus is
-    zero before week 52 and is added to the reward in week 52 only.
+    storage, this week's price, inflow and action are (years,) arrays.
+    Returns the (years,) arrays (reward, effective_action, spill,
+    end_storage, terminal_bonus); the bonus is zero before week 52 and is
+    added to the reward in week 52 only.
     """
     valid = (action >= 0.0) & (action <= 1.0)  # NaN is not
     if not valid.all():
@@ -159,6 +153,8 @@ def step_years(week, storage, factor, inflow, action, cfg):
         a_max = np.where(over, np.nextafter(a_max, 0.0), a_max)
         over &= a_max * cfg.f_max > storage
     a_eff = np.where(action < a_max, action, a_max)
+    k, q = cfg.k_price, cfg.q_price
+    factor = np.array([(p * k) ** q for p in price.tolist()])  # Python's **, as reward takes it
     reward = a_eff * cfg.f_max * cfg.r_max * factor
 
     release = a_eff * cfg.f_max
@@ -181,3 +177,14 @@ def observe(week, storage, price, inflow, cfg):
     """Network input: [week/52, storage, price, inflow, capped weeks-to-empty/52]."""
     return np.array([week / WEEKS, storage, price, inflow,
                      min(storage / cfg.f_max, float(WEEKS)) / WEEKS])
+
+
+def observe_years(week, storage, price, inflow, cfg):
+    """`observe`'s row of each year of a batch sharing week `week`, as a (years, OBS_DIM) array."""
+    obs = np.empty((len(storage), OBS_DIM))
+    obs[:, 0] = week / WEEKS
+    obs[:, 1] = storage
+    obs[:, 2] = price
+    obs[:, 3] = inflow
+    obs[:, 4] = np.minimum(storage / cfg.f_max, float(WEEKS)) / WEEKS
+    return obs

@@ -10,13 +10,13 @@ value network trails the value network by Polyak averaging. The Bellman
 target is computed here; the networks, the squash and its reverse pass,
 and the optimizer step are in neural.py.
 
-Acting is not done here: evaluation and planning wrap `policy.sample` or
-`policy.mean_action` in an `(obs_rows, rngs) -> actions` callable, which
-`trainer.rollout` calls once per week for all its years, and
-`trainer.train`'s week loop calls `policy.sample` itself on one (1, 1, 5)
-row a week once exploration is over. `update` checks its losses, which it
-computes before it steps, so a step that leaves non-finite weights shows
-first as a NaN action in that sample; `train` raises TrainingAborted for it.
+Acting and observing are not done here: the networks read the OBS_DIM-wide
+rows of `env.observe` and `env.observe_years`, and `trainer.rollout` (once a
+week for all its years) and `trainer.train` (on one (1, 1, 5) row a week
+after exploration) call `policy.sample` or `policy.mean_action`. `update`
+checks its losses, which it computes before it steps, so a step that
+leaves non-finite weights shows first as a NaN action in that sample;
+`train` raises TrainingAborted for it.
 """
 
 import copy
@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .env import UsageError, require_finite
+from .env import OBS_DIM, UsageError, require_finite
 from .neural import (
     LINEAR,
     LOG_STD_MAX,
@@ -36,8 +36,6 @@ from .neural import (
     mlp_init,
     rmsprop_step,
 )
-
-OBS_DIM = 5
 
 # The agent's networks under their checkpoint names, in file order.
 NETWORKS = ("policy_trunk", "policy_mean_head", "policy_log_std_head",

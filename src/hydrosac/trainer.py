@@ -8,15 +8,15 @@ and a one-row policy sample afterwards, then steps, pushes and updates
 (`env.step`, `push`, `update`); `train` builds each observation with
 `env.observe` and ends the year after week 52 itself. Evaluation and
 planning step all their years in lock-step with `rollout`, on (years,)
-arrays through `env.step_years`, which takes the arguments and returns
-the values `env.step` does, and gives each year the bits `env.step`
-would. Their actions come from a callable `action_fn(obs_rows,
-rngs) -> actions`, called once a week with obs_rows a (years, 5) array
-whose row i is the observation of year i and rngs[i] its generator, and
-returning one action in [0, 1] per year: the policy's mean or a sample, or
-any baseline. The policy acts on the rows as a (years, 1, 5) stack, one
-matrix-vector product per row, so each year gets the bits it would get
-alone; a (years, 5) batch would run one matrix product, with other bits.
+arrays through `env.observe_years` and `env.step_years`, which take the
+arguments of `env.observe` and `env.step` and give each year their bits.
+Their actions come from a callable `action_fn(obs_rows, rngs) -> actions`,
+called once a week with obs_rows the (years, 5) array whose row i is the
+observation of year i and rngs[i] its generator, and returning one action
+in [0, 1] per year: the policy's mean or a sample, or any baseline. The
+policy acts on the rows as a (years, 1, 5) stack, one matrix-vector
+product per row, so each year gets the bits it would get alone; a (years,
+5) batch would run one matrix product, with other bits.
 Evaluation derives an independent generator per episode from (seed,
 episode index) and returns one (episodes, 52, 8) array of weekly traces,
 whose last accumulated reward, traces[:, -1, 6], is each episode's total.
@@ -35,9 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .env import EnvConfig, UsageError, observe, price_factors, step, step_years
-from .sac import (NETWORKS, OBS_DIM, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig,
-                  TrainingAborted, update)
+from .env import OBS_DIM, EnvConfig, UsageError, observe, observe_years, step, step_years
+from .sac import NETWORKS, OPTIMIZERS, AgentBundle, ReplayBuffer, SacConfig, TrainingAborted, update
 from .scenario import WEEKS, DataError, _write_atomic, read_json, sample_scenario, write_csv
 
 CHECKPOINT_VERSION = 1
@@ -243,8 +242,8 @@ def rollout(action_fn, scenarios, env_cfg, rngs):
     """Play the years `scenarios` in lock-step with action_fn(obs_rows, rngs) -> actions.
 
     Year i starts from storage rngs[i].uniform(init_low, init_high), as
-    `train` draws it. Each week fills one (years, 5) observation array with
-    `observe`'s arithmetic, calls action_fn once, and steps every year with
+    `train` draws it. Each week builds the (years, 5) observation array with
+    observe_years, calls action_fn once, and steps every year with
     step_years. Returns the (years, 52, 8) float64 array of traces, whose
     rows are (week, price, inflow, effective action, end-of-week storage,
     reward, accumulated reward, spill); traces[:, -1, 6] is each year's
@@ -253,7 +252,6 @@ def rollout(action_fn, scenarios, env_cfg, rngs):
     years = len(scenarios)
     prices = np.array([s.prices for s in scenarios])
     inflows = np.array([s.inflows for s in scenarios])
-    factors = price_factors(prices, env_cfg)
     storage = np.array([rng.uniform(env_cfg.init_low, env_cfg.init_high) for rng in rngs])
     traces = np.empty((years, WEEKS, 8))
     traces[:, :, 0] = np.arange(1, WEEKS + 1)
@@ -261,14 +259,9 @@ def rollout(action_fn, scenarios, env_cfg, rngs):
     traces[:, :, 2] = inflows
     total = np.zeros(years)  # a sum from 0.0 turns a first reward of -0.0 into +0.0
     for w in range(WEEKS):
-        obs = np.empty((years, OBS_DIM))
-        obs[:, 0] = (w + 1) / WEEKS
-        obs[:, 1] = storage
-        obs[:, 2] = prices[:, w]
-        obs[:, 3] = inflows[:, w]
-        obs[:, 4] = np.minimum(storage / env_cfg.f_max, float(WEEKS)) / WEEKS
+        obs = observe_years(w + 1, storage, prices[:, w], inflows[:, w], env_cfg)
         actions = np.asarray(action_fn(obs, rngs), dtype=float).reshape(years)
-        reward, a_eff, spill, storage, _ = step_years(w + 1, storage, factors[:, w],
+        reward, a_eff, spill, storage, _ = step_years(w + 1, storage, prices[:, w],
                                                       inflows[:, w], actions, env_cfg)
         total += reward
         week = traces[:, w]

@@ -1,4 +1,4 @@
-"""Oracles for the reservoir problem that share no code with env.py.
+"""Oracles for the reservoir problem; all but `scalar_year` share no code with env.py.
 
 `perfect_foresight_plan` gives the wait-and-see value of one year (Birge &
 Louveaux, Introduction to Stochastic Programming, 2nd ed. 2011, ch. 4):
@@ -7,6 +7,10 @@ known in advance. No policy that sees only the past can beat it on that
 year, so every episode's return must lie at or below it. The plan that
 attains it, played open loop by `plan_policy`, comes close to it, so an
 environment that overpays shows as a return above the value.
+
+`scalar_year` is the reference for `trainer.rollout`: one episode played
+alone, week after week, through the scalar `env.observe` and `env.step`,
+which tests/test_env.py holds to the bits of their array forms.
 
 `sdp_solve` is stochastic dynamic programming (Stedinger, Sule & Loucks
 1984, Water Resources Research 20(11)): backward induction on a storage
@@ -20,7 +24,7 @@ import dataclasses
 import numpy as np
 from scipy.optimize import linprog
 
-from hydrosac.env import LAST_WEEK_PRICE, WEEKS
+from hydrosac.env import LAST_WEEK_PRICE, WEEKS, observe, step
 from hydrosac.scenario import sample_scenario
 
 # HiGHS works to a feasibility tolerance of 1e-7; this is ample above it.
@@ -94,6 +98,25 @@ def episode_starts(pools, cfg, n_episodes, seed):
         scenario = sample_scenario(pools, rng)
         starts.append((scenario, float(rng.uniform(cfg.init_low, cfg.init_high))))
     return starts
+
+
+def scalar_year(pools, cfg, rng, act):
+    """The (52, 8) trace of the episode whose generator is `rng`, played alone.
+
+    As in rollout, the episode draws its scenario, then its start storage;
+    each week act(obs, rng) gives the action for the observation `obs`.
+    Rows are (week, price, inflow, effective action, end storage, reward,
+    accumulated reward, spill).
+    """
+    scn = sample_scenario(pools, rng)
+    storage = float(rng.uniform(cfg.init_low, cfg.init_high))
+    total, rows = 0.0, []
+    for week, price, inflow in zip(range(1, WEEKS + 1), scn.prices.tolist(), scn.inflows.tolist()):
+        action = act(observe(week, storage, price, inflow, cfg), rng)
+        reward, a_eff, spill, storage, _ = step(week, storage, price, inflow, action, cfg)
+        total += reward
+        rows.append((week, price, inflow, a_eff, storage, reward, total, spill))
+    return np.array(rows)
 
 
 def perfect_foresight_bounds(pools, cfg, n_episodes, seed):

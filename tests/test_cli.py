@@ -481,6 +481,18 @@ def echo_rmsprop_rho_one(doc):
     doc["config"]["agent"]["rmsprop_rho"] = 1.0
 
 
+def echo_init_bound_negative(doc):
+    doc["config"]["agent"]["init_bound"] = -1
+
+
+def echo_rmsprop_eps_zero(doc):
+    doc["config"]["agent"]["rmsprop_eps"] = 0
+
+
+def echo_squash_prob_floor_negative(doc):
+    doc["config"]["agent"]["squash_prob_floor"] = -1e-3
+
+
 def nan_policy_weight(doc):
     doc["networks"]["policy_mean_head"][0]["weights"][3] = "nan"
 
@@ -629,6 +641,9 @@ def unknown_optimizer(doc):
     (echo_k_price_huge_int, "k_price must be finite, got 1000"),
     (echo_lr_q_negative, "lr_q must be >= 0"),
     (echo_rmsprop_rho_one, "rmsprop_rho must be in [0, 1)"),
+    (echo_init_bound_negative, "malformed checkpoint (init_bound must be >= 0)"),
+    (echo_rmsprop_eps_zero, "malformed checkpoint (rmsprop_eps must be > 0)"),
+    (echo_squash_prob_floor_negative, "malformed checkpoint (squash_prob_floor must be >= 0)"),
     (nan_policy_weight, "network policy holds a non-finite value"),
     (minus_inf_accumulator, "optimizer q1 holds a non-finite value"),
     (no_value_target_network, "'value_target'"),
@@ -1039,9 +1054,18 @@ def test_r_max_flag_sizes_reservoir_and_inline_pools(monkeypatch, tmp_path):
                                 {"artificial": {"r_max": 500}, "env": {"r_max": 500}})
     assert cfg.env.r_max == 2000.0
     assert "of r_max 2000" in pools.provenance
-    # without the flag the file's two sections stay apart
-    cfg, pools = train_settings(monkeypatch, tmp_path, [], {"env": {"r_max": 700}})
-    assert cfg.env.r_max == 700 and "of r_max 1000" in pools.provenance
+    # without the flag the file's artificial section sizes the pools
+    cfg, pools = train_settings(monkeypatch, tmp_path, [],
+                                {"env": {"r_max": 700}, "artificial": {"r_max": 500}})
+    assert cfg.env.r_max == 700 and "of r_max 500" in pools.provenance
+
+
+def test_config_file_r_max_sizes_reservoir_and_inline_pools(monkeypatch, tmp_path):
+    # a file's env.r_max sizes the pools too, when its artificial section gives no r_max
+    cfg, pools = train_settings(monkeypatch, tmp_path, [],
+                                {"env": {"r_max": 2000}, "artificial": {"samples_per_week": 4}})
+    assert cfg.env.r_max == 2000 and "of r_max 2000" in pools.provenance
+    assert all(len(pool) == 4 for pool in pools.price_pool)
 
 
 def test_r_max_flag_on_gen_scenarios_and_evaluate(tmp_path, trained_files, monkeypatch):

@@ -12,7 +12,9 @@ caught one could give it another code. A training year is stepped only by
 `trainer.train`, through the scalar `env.step`, and evaluation and planning
 years only by `trainer.rollout`, through the array `env.step_years`; each
 is the one loop of its kind, and tests hold the two steps to the same
-bits. The numeric code keeps to numpy's exp and log, whose bits the digests
+bits. The reservoir's sizes, price rule and terminal window are read only
+in env.py, so the trainer and the agent cannot restate the week's
+arithmetic. The numeric code keeps to numpy's exp and log, whose bits the digests
 pin. `_kernels` only names the backend for the benchmark's environment
 record, so no module imports it.
 """
@@ -89,6 +91,18 @@ def test_years_are_stepped_only_by_train_and_rollout():
                 for function, call in calls(tree)
                 if call.split(".")[-1] in ("step", "step_years")}
     assert stepping == {("trainer", "train", "step"), ("trainer", "rollout", "step_years")}
+
+
+# The EnvConfig fields that the week's dynamics, price rule and observation read.
+ENV_ARITHMETIC = {"f_max", "r_max", "k_price", "q_price", "terminal_low", "terminal_high",
+                  "terminal_price_rule"}
+
+
+def test_trainer_and_agent_leave_the_week_to_env():
+    trees = dict(program_trees())
+    for name in ("trainer", "sac"):
+        read = {node.attr for node in ast.walk(trees[name]) if isinstance(node, ast.Attribute)}
+        assert not read & ENV_ARITHMETIC, f"{name}.py reads {sorted(read & ENV_ARITHMETIC)}"
 
 
 # Outside main, each handler in cli.py may catch only these, in these functions.

@@ -1,26 +1,28 @@
 import copy
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydrosac
 from hydrosac import cli
 from hydrosac import env
 from hydrosac import scenario as sc
 from hydrosac import trainer as tr
 from hydrosac.env import EnvConfig, UsageError
 from hydrosac.sac import SacConfig, TrainingAborted, update
-from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools, save_pools
+from hydrosac.scenario import ArtificialConfig, Scenario, generate_artificial_pools
 from hydrosac.trainer import (
     Checkpoint,
     CheckpointError,
@@ -37,6 +39,8 @@ from hydrosac.trainer import (
     write_eval_csv,
     write_train_log,
 )
+from oracles import scalar_year
+import reference
 
 
 def small_cfg(**kwargs):
@@ -63,49 +67,20 @@ def trained(pools):
     return cfg, ckpt, records
 
 
-def blas_core():
-    """The core name the OpenBLAS bundled with numpy runs, or "unknown"."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)  # already loaded by numpy: same handle
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
-
-
-def numpy_dispatch():
-    """The target numpy dispatches float64 exp, log and power to, as "exp X86_V4, ..."."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-        info = opt_func_info(func_name="^(exp|log|power)$", signature="float64")
-        return ", ".join(f"{name} {target['current']}" for name, sigs in info.items()
-                         for target in sigs.values())
-    except (ImportError, KeyError, TypeError):
-        return "unknown"
-
-
 def kernel_set():
     """Failure note of a digest test: the digests hold for one kernel set, not one version."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"].get("version")
     return ("digests taken with numpy 2.4.6 (exp X86_V4, log X86_V4, power X86_V4) and "
             "OpenBLAS 0.3.31 (core SkylakeX); this is numpy "
-            f"{np.__version__} ({numpy_dispatch()}) and OpenBLAS {blas} (core {blas_core()})")
+            f"{np.__version__} ({reference.numpy_dispatch()}) and OpenBLAS {blas} "
+            f"(core {reference.blas_core()})")
 
 
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """Directory holding the fixed-seed reference run: ck.json, log.csv, pools.json."""
     path = tmp_path_factory.mktemp("reference")
-    cfg = TrainConfig(total_weeks=2080, exploration_weeks=520, batch_size=100, seed=5,
-                      include_replay_in_checkpoint=True)
-    pools = generate_artificial_pools(ArtificialConfig(), seed=11)
-    _, records = train(cfg, pools, checkpoint_path=path / "ck.json")
-    write_train_log(records, path / "log.csv")
-    save_pools(pools, path / "pools.json")
+    reference.train_reference(path)
     return path
 
 
@@ -287,29 +262,40 @@ class TestTrain:
     def test_reference_run_byte_identical(self, reference_run):
         # A fixed-seed run whose training log (minus the wall-clock column)
         # and checkpoint must not change under a refactor.
-        lines = (reference_run / "log.csv").read_text().splitlines()
-        log_digest = hashlib.sha256(
-            "\n".join(line.rsplit(",", 1)[0] for line in lines).encode()).hexdigest()
-        ckpt_digest = hashlib.sha256((reference_run / "ck.json").read_bytes()).hexdigest()
-        assert log_digest[:16] == "d0cb3dc5414d9587", f"training log changed: {kernel_set()}"
-        assert ckpt_digest[:16] == "d082782616b397df", f"checkpoint changed: {kernel_set()}"
+        log_digest = reference.log_digest(reference_run)
+        ckpt_digest = reference.checkpoint_digest(reference_run)
+        assert log_digest == "d0cb3dc5414d9587", f"training log changed: {kernel_set()}"
+        assert ckpt_digest == "d082782616b397df", f"checkpoint changed: {kernel_set()}"
 
     def test_reference_checkpoint_serves_byte_identical(self, reference_run, tmp_path):
         # Training never takes the policy's mean action, so the digests above
         # cannot see the evaluation and planning path; these pin it.
-        ck, pl = str(reference_run / "ck.json"), str(reference_run / "pools.json")
-        runs = {
-            "evaluate --deterministic": (
-                ["evaluate", "--episodes", "20", "--deterministic", "--seed", "7"],
-                "5bedcbd021516095"),
-            "evaluate": (["evaluate", "--episodes", "20", "--seed", "7"], "d1d617d2a263a5bc"),
-            "plan": (["plan", "--seed", "3"], "ad152137ceff7196"),
+        expected = {"evaluate --deterministic": "5bedcbd021516095",
+                    "evaluate": "d1d617d2a263a5bc", "plan": "ad152137ceff7196"}
+        digests = reference.serve_digests(reference_run, tmp_path)
+        for name, digest in expected.items():
+            assert digests[name] == digest, f"{name} output changed: {kernel_set()}"
+
+    def test_reference_run_byte_identical_on_the_avx2_kernel_set(self, tmp_path):
+        # The same run and serve commands under a second kernel set: OpenBLAS's
+        # Haswell core and numpy's AVX2 (X86_V3) loops. The settings act on a
+        # child process only, so this process keeps its own kernel set.
+        path = [str(Path(hydrosac.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        child_env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+                     "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+                     "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        child = subprocess.run([sys.executable, reference.__file__, str(tmp_path)], env=child_env,
+                               capture_output=True, text=True, timeout=600)
+        assert child.returncode == 0, child.stderr
+        record = json.loads(child.stdout.splitlines()[-1])
+        assert record["blas_core"] == "Haswell", f"OpenBLAS core setting did not take: {record}"
+        assert record["numpy_dispatch"].startswith("exp X86_V3,"), \
+            f"numpy dispatch setting did not take: {record}"
+        assert record["digests"] == {
+            "log": "d49b6fa055c9f3a7", "checkpoint": "31150a8598496b49",
+            "evaluate --deterministic": "78441d15f441a02c", "evaluate": "599ab6e227e0e478",
+            "plan": "ee0e300e8eeff800",
         }
-        for i, (name, (argv, expected)) in enumerate(runs.items()):
-            out = tmp_path / f"{i}.csv"
-            assert cli.main(argv + ["--checkpoint", ck, "--pools", pl, "--out", str(out)]) == 0
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            assert digest[:16] == expected, f"{name} output changed: {kernel_set()}"
 
     def test_reference_checkpoint_prints_the_csv_totals(self, reference_run, tmp_path, capsys):
         # the printed totals come from the traces, the CSV from their rows: both must agree
@@ -686,21 +672,17 @@ class TestEvaluate:
         pools = sc.load_pools(reference_run / "pools.json")
         traces = evaluate(ckpt, pools, n, deterministic, seed=41)
         policy, env_cfg = ckpt.agent.policy, ckpt.config.env
+
+        def act(obs, rng):
+            obs = obs[None]
+            action = policy.mean_action(obs) if deterministic else policy.sample(obs, rng)[0]
+            return float(action[0])
+
         assert traces.shape == (n, 52, 8)
         for trace, seq in zip(traces, np.random.SeedSequence(41).spawn(n)):
-            rng = np.random.default_rng(seq)
-            scn = tr.sample_scenario(pools, rng)
-            storage = float(rng.uniform(env_cfg.init_low, env_cfg.init_high))
-            total, rows = 0.0, []
-            for week, price, inflow in zip(range(1, 53), scn.prices.tolist(), scn.inflows.tolist()):
-                obs = env.observe(week, storage, price, inflow, env_cfg)[None]
-                action = policy.mean_action(obs) if deterministic else policy.sample(obs, rng)[0]
-                reward, a_eff, spill, storage, _ = env.step(week, storage, price, inflow,
-                                                            float(action[0]), env_cfg)
-                total += reward
-                rows.append((week, price, inflow, a_eff, storage, reward, total, spill))
-            assert np.array_equal(bits(trace), bits(np.array(rows)))
-            assert bits(trace[-1, 6]) == bits(total)
+            want = scalar_year(pools, env_cfg, np.random.default_rng(seq), act)
+            assert np.array_equal(bits(trace), bits(want))
+            assert bits(trace[-1, 6]) == bits(want[-1, 6])
 
     def test_episodes_do_not_depend_on_how_many_play(self, trained, pools):
         _, ckpt, _ = trained
@@ -748,16 +730,9 @@ class TestEvaluate:
         action_fn = random_policy if policy == "random" else constant_policy(policy)
         traces = evaluate_policy_fn(action_fn, pools, env_cfg, 7, seed=5)
         for trace, seq in zip(traces, np.random.SeedSequence(5).spawn(7), strict=True):
-            rng = np.random.default_rng(seq)
-            scn = tr.sample_scenario(pools, rng)
-            storage = float(rng.uniform(env_cfg.init_low, env_cfg.init_high))
-            total, rows = 0.0, []
-            for week, price, inflow in zip(range(1, 53), scn.prices.tolist(), scn.inflows.tolist()):
-                reward, a_eff, spill, storage, _ = env.step(
-                    week, storage, price, inflow, float(action_fn(None, [rng])[0]), env_cfg)
-                total += reward
-                rows.append((week, price, inflow, a_eff, storage, reward, total, spill))
-            assert np.array_equal(bits(trace), bits(np.array(rows)))
+            want = scalar_year(pools, env_cfg, np.random.default_rng(seq),
+                               lambda obs, rng: float(action_fn(None, [rng])[0]))
+            assert np.array_equal(bits(trace), bits(want))
 
     def test_rejects_a_wrong_number_of_actions(self, pools):
         rngs = [np.random.default_rng(seed) for seed in (1, 2)]
