@@ -4,12 +4,15 @@ Subcommands: gen-scenarios, train, evaluate, plan, inspect. Each settings
 flag sets one config field; values merge with precedence CLI flag >
 --config file > built-in default and are type-checked against the config
 dataclasses (an int is fine for a float field). The environment variable
-HYDROSAC_SEED supplies the seed when nothing else does. Exit codes: 0
-success, 2 a bad setting, a file that cannot be read or written, or a size
-too large to allocate (any UsageError, OSError or MemoryError), 3 training
-aborted on a non-finite loss, 4 an input file that does not decode or
-validate (any DataError; a CheckpointError is one). Only main turns an
-exception into an exit code.
+HYDROSAC_SEED supplies the seed when nothing else does. evaluate and plan
+play the checkpoint's environment, and warn of each env flag or --config
+env key that differs from it. Exit codes: 0 success, 2 a bad setting, a
+file that cannot be read or written, an output that is an input or the
+other output, or a size too large to allocate (any UsageError, OSError or
+MemoryError), 3 training aborted on a non-finite loss, 4 an input file
+that does not decode or validate (any DataError; a CheckpointError is
+one). Only main turns an exception into an exit code; _read_input alone
+names a missing input file.
 """
 
 import argparse
@@ -35,11 +38,16 @@ EXIT_CORRUPT = 4
 PLAN_HEADER = "week,price,inflow,action,release_volume_Mm3,storage,spill,reward"
 
 
-def _load_config_file(path):
+def _read_input(kind, read, *args):
+    """Return read(*args); a missing file is a UsageError naming `kind` and the file."""
     try:
-        doc = sc.read_json(path)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
+        return read(*args)
+    except FileNotFoundError as e:
+        raise UsageError(f"{kind} not found: {e.filename}")
+
+
+def _load_config_file(path):
+    doc = _read_input("config file", sc.read_json, path)
     if not isinstance(doc, dict):
         raise DataError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(doc) - {"train", "env", "artificial"})
@@ -104,26 +112,41 @@ def _seed(value):
     return value
 
 
-def _check_outputs(*outputs):
-    """Raise UsageError for an output (flag, path) that is empty, whose directory does
-    not exist or that is itself a directory, so that it is found before any work, not
+# The flags that name a file a command reads; --prices and --inflows take several.
+INPUT_FLAGS = ("config", "pools", "checkpoint", "scenario", "prices", "inflows")
+
+
+def _check_outputs(args):
+    """Raise UsageError for an output of the command (--out, then --log) that is empty,
+    whose directory does not exist, that is itself a directory, or whose real path is
+    that of an input or of the other output, so that it is found before any work, not
     at the write."""
-    for flag, path in outputs:
+    taken = {}  # real path -> the flag that names it
+    for name in INPUT_FLAGS:
+        value = getattr(args, name, None)
+        for path in value if isinstance(value, list) else [value]:
+            if path:
+                taken.setdefault(os.path.realpath(path), f"--{name}")
+    for flag in ("--out", "--log"):
+        if not hasattr(args, flag[2:]):
+            continue
+        path = getattr(args, flag[2:])
         if not path:
             raise UsageError(f"{flag} must name a file, not an empty path")
         if os.path.isdir(path):
             raise UsageError(f"{flag} {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise UsageError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise UsageError(f"{flag} {path} is also {taken[real]}")
+        taken[real] = flag
 
 
 def _get_pools(args, artificial_cfg, seed):
     """Load pools from --pools, or generate artificial pools inline."""
     if getattr(args, "pools", None):
-        try:
-            return sc.load_pools(args.pools)
-        except FileNotFoundError:
-            raise UsageError(f"pools file not found: {args.pools}")
+        return _read_input("pools file", sc.load_pools, args.pools)
     return sc.generate_artificial_pools(artificial_cfg, seed)
 
 
@@ -228,7 +251,7 @@ def cmd_gen_scenarios(args):
     _, artificial, _ = _settings(args)
     artificial.validate()  # so that each mode rejects a bad setting with exit 2
     seed = _seed(args.seed)
-    _check_outputs(("--out", args.out))
+    _check_outputs(args)
     if args.mode == sc.ARTIFICIAL:
         pools = sc.generate_artificial_pools(artificial, seed)
     elif args.synthetic_historic:
@@ -243,10 +266,8 @@ def cmd_gen_scenarios(args):
             raise UsageError(
                 "historic mode needs --prices and --inflows (or --synthetic-historic)"
             )
-        try:
-            pools = sc.build_pools(args.prices, args.inflows, artificial.r_max)
-        except FileNotFoundError as e:
-            raise UsageError(f"input file not found: {e.filename}")
+        pools = _read_input("input file", sc.build_pools, args.prices, args.inflows,
+                            artificial.r_max)
     sc.save_pools(pools, args.out)
     for w in range(sc.WEEKS):
         print(
@@ -260,7 +281,7 @@ def cmd_gen_scenarios(args):
 def cmd_train(args):
     cfg, artificial, given = _settings(args)
     cfg.seed = _seed(cfg.seed if "seed" in given["train"] else None)
-    _check_outputs(("--out", args.out), ("--log", args.log))
+    _check_outputs(args)
     pools = _get_pools(args, artificial, cfg.seed)
     cfg.pools_path = args.pools or ""
     # Historic pools explore longer and value the end storage at the
@@ -288,32 +309,33 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_checkpoint_or_die(path):
-    try:
-        return tr.load_checkpoint(path)
-    except FileNotFoundError:
-        raise UsageError(f"checkpoint not found: {path}")
-
-
-def _warn_env_mismatch(args, ckpt):
-    """The checkpoint's environment echo wins over the env flags given."""
+def _warn_env_mismatch(args, ckpt, env, given):
+    """The checkpoint's environment echo wins over the env settings given: warn of each
+    one in `env` that differs, named by its flag, or else by its key in the --config file
+    (`given` holds the env keys that a flag or the file set)."""
     echo = dataclasses.asdict(ckpt.config.env)
-    for key, value in vars(args).items():
-        section, _, attr = key.partition(".")
-        if section == "env" and echo[attr] != value:
+    flags = [key.partition(".")[2] for key in vars(args) if key.startswith("env.")]
+    for attr in flags + [attr for attr in echo if attr in given and attr not in flags]:
+        value = getattr(env, attr)
+        if echo[attr] == value:
+            continue
+        if attr in flags:
             flag = "terminal-rule" if attr == "terminal_price_rule" else attr.replace("_", "-")
-            print(
-                f"warning: --{flag}={value} differs from the "
-                f"checkpoint's {attr}={echo[attr]}; using the checkpoint value",
-                file=sys.stderr,
-            )
+            setting = f"--{flag}={value}"
+        else:
+            setting = f"env.{attr}={value} in {args.config}"
+        print(
+            f"warning: {setting} differs from the "
+            f"checkpoint's {attr}={echo[attr]}; using the checkpoint value",
+            file=sys.stderr,
+        )
 
 
 def cmd_evaluate(args):
-    ckpt = _load_checkpoint_or_die(args.checkpoint)
-    _check_outputs(("--out", args.out))
-    _warn_env_mismatch(args, ckpt)
-    _, artificial, _ = _settings(args)
+    ckpt = _read_input("checkpoint", tr.load_checkpoint, args.checkpoint)
+    _check_outputs(args)
+    cfg, artificial, given = _settings(args)
+    _warn_env_mismatch(args, ckpt, cfg.env, given["env"])
     seed = _seed(args.seed)
     pools = _get_pools(args, artificial, seed)
     traces = tr.evaluate(ckpt, pools, args.episodes, args.deterministic, seed)
@@ -329,15 +351,13 @@ def cmd_evaluate(args):
 
 
 def cmd_plan(args):
-    ckpt = _load_checkpoint_or_die(args.checkpoint)
-    _check_outputs(("--out", args.out))
+    ckpt = _read_input("checkpoint", tr.load_checkpoint, args.checkpoint)
+    _check_outputs(args)
     seed = _seed(args.seed)
-    _, artificial, _ = _settings(args)
+    cfg, artificial, given = _settings(args)
+    _warn_env_mismatch(args, ckpt, cfg.env, given["env"])
     if args.scenario:
-        try:
-            scn = sc.load_scenario_csv(args.scenario)
-        except FileNotFoundError:
-            raise UsageError(f"scenario file not found: {args.scenario}")
+        scn = _read_input("scenario file", sc.load_scenario_csv, args.scenario)
     else:
         pools = _get_pools(args, artificial, seed)
         scn = sc.sample_scenario(pools, np.random.default_rng(seed))
@@ -354,7 +374,7 @@ def cmd_plan(args):
 
 
 def cmd_inspect(args):
-    ckpt = _load_checkpoint_or_die(args.checkpoint)
+    ckpt = _read_input("checkpoint", tr.load_checkpoint, args.checkpoint)
     shapes = {name: net.widths for name, net in ckpt.agent.networks().items()}
     if args.as_json:
         doc = {

@@ -134,15 +134,15 @@ class Checkpoint:
 
     @property
     def networks(self):
-        """Name -> [(weight (out, in), bias, activation), ...], as views into the agent;
-        kept for perfbench's checkpoint round-trip check, as the program reads `agent`."""
+        """Name -> [(weight (out, in), bias, activation), ...], as views into the agent:
+        the layers save_checkpoint writes."""
         return {name: [(l.weight, l.bias, l.activation) for l in net.layers]
                 for name, net in self.agent.networks().items()}
 
     @property
     def optimizer_states(self):
-        """Name -> accumulator arrays, one per parameter array, as views into the agent;
-        kept for perfbench's checkpoint round-trip check, as the program reads `agent`."""
+        """Name -> accumulator arrays, one per parameter array, as views into the agent:
+        the optimizer states save_checkpoint writes."""
         return {name: opt.arrays for name, opt in self.agent.optimizers().items()}
 
     def restore_agent(self):
@@ -390,12 +390,13 @@ def save_checkpoint(ckpt, path):
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "networks": {
-            name: [{"rows": l.weight.shape[0], "cols": l.weight.shape[1], "weights": l.weight,
-                    "bias": l.bias, "activation": l.activation} for l in net.layers]
-            for name, net in ckpt.agent.networks().items()
+            name: [{"rows": weight.shape[0], "cols": weight.shape[1], "weights": weight,
+                    "bias": bias, "activation": activation}
+                   for weight, bias, activation in layers]
+            for name, layers in ckpt.networks.items()
         },
-        "optimizer_states": {name: list(map(array, opt.arrays))
-                             for name, opt in ckpt.agent.optimizers().items()},
+        "optimizer_states": {name: list(map(array, arrays))
+                             for name, arrays in ckpt.optimizer_states.items()},
         "rng_state": ckpt.rng_state,
         "episode": ckpt.episode,
         "replay_size": ckpt.replay_size,

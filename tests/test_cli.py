@@ -1,10 +1,16 @@
 import argparse
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrosac import cli
 from hydrosac import scenario as sc
@@ -355,6 +361,40 @@ class TestEvaluate:
             "evaluate", "--checkpoint", str(bad), "--pools", str(pools_file),
             "--episodes", "1", "--out", str(tmp_path / "e.csv"),
         ]) == 4
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plan"])
+def test_config_env_warns_and_echo_wins(command, tmp_path, trained_files, pools_file, capsys):
+    ckpt, _ = trained_files
+    echo = tr.load_checkpoint(ckpt).config.env
+    assert echo.f_max != 0.1
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"env": {"f_max": 0.1, "k_price": echo.k_price}}))
+    argv = [command, "--checkpoint", str(ckpt), "--pools", str(pools_file), "--seed", "3",
+            *(["--episodes", "2"] if command == "evaluate" else [])]
+    assert run([*argv, "--out", str(tmp_path / "plain.csv")]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run([*argv, "--config", str(config), "--out", str(tmp_path / "configured.csv")]) == 0
+    configured = capsys.readouterr()
+    # one warning, for the key that differs; the equal k_price gives none
+    assert configured.err == (f"warning: env.f_max=0.1 in {config} differs from the checkpoint's "
+                              f"f_max={echo.f_max}; using the checkpoint value\n")
+    # the checkpoint's environment echo wins: the file changed nothing else
+    assert configured.out.replace("configured.csv", "plain.csv") == plain.out
+    assert (tmp_path / "configured.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_env_flag_warns_in_place_of_the_config_file(tmp_path, trained_files, pools_file, capsys):
+    ckpt, _ = trained_files
+    echo = tr.load_checkpoint(ckpt).config.env
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"env": {"f_max": 0.1}}))
+    assert run(["evaluate", "--checkpoint", str(ckpt), "--pools", str(pools_file),
+                "--episodes", "1", "--config", str(config), "--f-max", "0.2",
+                "--out", str(tmp_path / "e.csv")]) == 0
+    assert capsys.readouterr().err == (f"warning: --f-max=0.2 differs from the checkpoint's "
+                                       f"f_max={echo.f_max}; using the checkpoint value\n")
 
 
 class TestPlan:
@@ -949,6 +989,85 @@ def test_nan_in_pools_file_exit_4(tamper, message, tmp_path, trained_files, pool
     assert not (tmp_path / "log.csv").exists()
 
 
+# What a single mutation may put in place of any value of a checkpoint or pools file.
+DELETE = "<delete>"
+MUTANTS = [DELETE, None, True, 0.0, -0.0, 2**70, 1e308, "nan", "1e400", [], {}]
+
+
+def value_paths(doc, path=()):
+    """Yield the path to each value inside the decoded JSON `doc`. Of a list of scalars
+    only the first and last items are taken, so that long arrays do not crowd out the rest."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+        if not any(isinstance(value, (dict, list)) for value in doc):
+            items = items[:1] + items[1:][-1:]
+    else:
+        return
+    for key, value in items:
+        yield (*path, key)
+        yield from value_paths(value, (*path, key))
+
+
+def mutated(doc, path, mutant):
+    """A copy of `doc` whose value at `path` is deleted or replaced by `mutant`."""
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if mutant == DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(mutant)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """A small checkpoint with its replay and a small pools file, decoded, and the
+    directory to write their mutants to; both serve `inspect` and `plan` as they are."""
+    d = tmp_path_factory.mktemp("mutations")
+    pools, ckpt = d / "pools.json", d / "ckpt.json"
+    assert run(["gen-scenarios", "--mode", "artificial", "--seed", "2",
+                "--samples-per-week", "2", "--out", str(pools)]) == 0
+    assert run(["train", "--pools", str(pools), "--total-weeks", "104",
+                "--exploration-weeks", "52", "--batch-size", "10", "--hidden-width", "3",
+                "--include-replay", "--seed", "2", "--out", str(ckpt),
+                "--log", str(d / "log.csv")]) == 0
+    docs = {"ckpt": json.loads(ckpt.read_text()), "pools": json.loads(pools.read_text())}
+    return docs, {name: list(value_paths(doc)) for name, doc in docs.items()}, d
+
+
+def inspect_and_plan(d, docs):
+    """Write `docs` to `d`; return the exit codes of `inspect` and `plan` on them."""
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    ckpt, pools = str(d / "ckpt.json"), str(d / "pools.json")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return (run(["inspect", "--checkpoint", ckpt]),
+                run(["plan", "--checkpoint", ckpt, "--pools", pools, "--seed", "1",
+                     "--out", str(d / "plan.csv")]))
+
+
+def test_unmutated_inputs_serve(mutation_inputs):
+    docs, _, d = mutation_inputs
+    assert inspect_and_plan(d, docs) == (0, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_inputs_exit_0_or_4(mutation_inputs, data):
+    # a loader either takes a single-value mutation or rejects it as a corrupt file
+    docs, paths, d = mutation_inputs
+    name = data.draw(st.sampled_from(sorted(docs)), label="file")
+    path = data.draw(st.sampled_from(paths[name]), label="path")
+    mutant = data.draw(st.sampled_from(MUTANTS), label="mutant")
+    codes = inspect_and_plan(d, {**docs, name: mutated(docs[name], path, mutant)})
+    assert set(codes) <= {0, 4}, codes
+
+
 def open_failing_writes(real_open=open):
     """An `open` whose files opened for writing take half of the first write, then fail."""
 
@@ -1186,6 +1305,51 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     ("evaluate", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
     ("plan", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
     ("gen-scenarios", ["--out", ""], None, None, 2, "--out must name a file, not an empty path"),
+    # a missing input exits 2 and is named, by kind and path, on one line
+    ("inspect", ["--checkpoint", "{missing}"], None, None, 2,
+     "error: checkpoint not found: {missing}\n"),
+    ("evaluate", ["--checkpoint", "{missing}"], None, None, 2,
+     "error: checkpoint not found: {missing}\n"),
+    ("plan", ["--checkpoint", "{missing}"], None, None, 2,
+     "error: checkpoint not found: {missing}\n"),
+    ("train", ["--pools", "{missing}"], None, None, 2, "error: pools file not found: {missing}\n"),
+    ("evaluate", ["--pools", "{missing}"], None, None, 2,
+     "error: pools file not found: {missing}\n"),
+    ("plan", ["--pools", "{missing}"], None, None, 2, "error: pools file not found: {missing}\n"),
+    ("plan", ["--scenario", "{missing}"], None, None, 2,
+     "error: scenario file not found: {missing}\n"),
+    ("gen-scenarios", ["--mode", "historic", "--prices", "{missing}", "--inflows", "{inflows}"],
+     None, None, 2, "error: input file not found: {missing}\n"),
+    ("gen-scenarios", ["--mode", "historic", "--prices", "{prices}", "--inflows", "{inflows}",
+                       "{missing}"], None, None, 2, "error: input file not found: {missing}\n"),
+    # an output may not overwrite an input or the other output: the same real path,
+    # however it is spelled, is refused before any work
+    ("train", ["--out", "{here}/same.csv", "--log", "{here}/same.csv"], None, None, 2,
+     "error: --log {here}/same.csv is also --out\n"),
+    ("train", ["--pools", "{pools}", "--out", "{pools}"], None, None, 2,
+     "error: --out {pools} is also --pools\n"),
+    ("train", ["--pools", "{pools}", "--log", "./pools.json"], None, None, 2,
+     "error: --log ./pools.json is also --pools\n"),
+    ("train", ["--pools", "{pools}", "--out", "{link}"], None, None, 2,
+     "error: --out {link} is also --pools\n"),
+    ("train", ["--out", "{config}"], {"train": {"seed": 1}}, None, 2,
+     "error: --out {config} is also --config\n"),
+    ("evaluate", ["--out", "{ckpt}"], None, None, 2, "error: --out {ckpt} is also --checkpoint\n"),
+    ("evaluate", ["--pools", "{pools}", "--out", "./pools.json"], None, None, 2,
+     "error: --out ./pools.json is also --pools\n"),
+    ("plan", ["--out", "./ckpt.json"], None, None, 2,
+     "error: --out ./ckpt.json is also --checkpoint\n"),
+    ("plan", ["--scenario", "{scenario}", "--out", "{scenario}"], None, None, 2,
+     "error: --out {scenario} is also --scenario\n"),
+    ("plan", ["--pools", "{pools}", "--out", "{link}"], None, None, 2,
+     "error: --out {link} is also --pools\n"),
+    ("gen-scenarios", ["--mode", "historic", "--prices", "{prices}", "--inflows", "{inflows}",
+                       "--out", "{prices}"], None, None, 2, "error: --out {prices} is also --prices\n"),
+    ("gen-scenarios", ["--mode", "historic", "--prices", "{prices}", "--inflows", "{inflows}",
+                       "--out", "./inflow0.csv"], None, None, 2,
+     "error: --out ./inflow0.csv is also --inflows\n"),
+    ("gen-scenarios", ["--out", "{config}"], {"artificial": {"samples_per_week": 3}}, None, 2,
+     "error: --out {config} is also --config\n"),
 ], ids=[
     "file_f_max_text", "file_batch_size_float", "file_include_replay_int", "file_agent_list",
     "file_env_number", "file_samples_text", "train_samples_zero", "gen_samples_zero",
@@ -1205,31 +1369,54 @@ def test_train_seed_order(flag, file_seed, env_seed, expected, monkeypatch, tmp_
     "train_out_is_dir", "train_log_is_dir", "evaluate_out_is_dir", "plan_out_is_dir",
     "gen_out_dir_missing", "gen_out_is_dir", "train_out_empty", "train_log_empty",
     "evaluate_out_empty", "plan_out_empty", "gen_out_empty",
+    "inspect_checkpoint_missing", "evaluate_checkpoint_missing", "plan_checkpoint_missing",
+    "train_pools_missing", "evaluate_pools_missing", "plan_pools_missing",
+    "plan_scenario_missing", "gen_prices_missing", "gen_inflows_missing",
+    "train_log_is_out", "train_out_is_pools", "train_log_is_pools_relative",
+    "train_out_links_to_pools", "train_out_is_config", "evaluate_out_is_checkpoint",
+    "evaluate_out_is_pools_relative", "plan_out_is_checkpoint_relative", "plan_out_is_scenario",
+    "plan_out_links_to_pools", "gen_out_is_prices", "gen_out_is_inflows_relative",
+    "gen_out_is_config",
 ])
-def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path, monkeypatch,
-                                trained_files, pools_file, scenario_file, capsys):
+def test_bad_settings_exit_code(command, argv, config, env, code, message, tmp_path,
+                                tmp_path_factory, monkeypatch, trained_files, pools_file,
+                                scenario_file, capsys):
     monkeypatch.delenv("HYDROSAC_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("HYDROSAC_SEED", env)
-    argv = [arg.format(pools=pools_file, scenario=scenario_file, missing=tmp_path / "none.json",
-                       nodir=tmp_path / "none", here=tmp_path) for arg in argv]
-    ckpt, _ = trained_files
+    # The inputs are copies, since a row may name one as an output, in a directory of their
+    # own, which is also the working directory that a relative path starts from.
+    inputs = tmp_path_factory.mktemp("inputs")
+    monkeypatch.chdir(inputs)
+    for source in (trained_files[0], pools_file, scenario_file):
+        shutil.copy(source, inputs)
+    prices, (inflows,) = historic_csvs(inputs, n_inflows=1)
+    (inputs / "link.json").symlink_to(inputs / "pools.json")
+    names = {"ckpt": inputs / "ckpt.json", "pools": inputs / "pools.json",
+             "scenario": inputs / "scn.csv", "prices": prices, "inflows": inflows,
+             "link": inputs / "link.json", "config": tmp_path / "cfg.json",
+             "missing": tmp_path / "none.json", "nodir": tmp_path / "none", "here": tmp_path}
+    argv = [arg.format(**names) for arg in argv]
     outputs = {
         "train": ["--total-weeks", "52", "--hidden-width", "8", "--out", str(tmp_path / "ck.json"),
                   "--log", str(tmp_path / "log.csv")],
         "gen-scenarios": ["--mode", "artificial", "--out", str(tmp_path / "pools.json")],
-        "evaluate": ["--checkpoint", str(ckpt), "--episodes", "1", "--out", str(tmp_path / "e.csv")],
-        "plan": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "p.csv")],
+        "evaluate": ["--checkpoint", str(names["ckpt"]), "--episodes", "1",
+                     "--out", str(tmp_path / "e.csv")],
+        "plan": ["--checkpoint", str(names["ckpt"]), "--out", str(tmp_path / "p.csv")],
+        "inspect": [],
     }
     if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(config if isinstance(config, str) else json.dumps(config))
-        argv = [*argv, "--config", str(path)]
+        names["config"].write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = [*argv, "--config", str(names["config"])]
+    before = {p: p.read_bytes() for d in (inputs, tmp_path) for p in d.iterdir()}
     # argv comes last, so that its --out or --log replaces the default output
     assert run([command, *outputs[command], *argv]) == code
-    assert message in capsys.readouterr().err
+    assert message.format(**names) in capsys.readouterr().err
     # nothing is written: neither output, nor a missing --out or --log directory
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if config else [])
+    # and every input is as it was
+    assert {p: p.read_bytes() for p in before} == before
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "plan", "gen-scenarios"])

@@ -107,8 +107,7 @@ def test_trainer_and_agent_leave_the_week_to_env():
 
 # Outside main, each handler in cli.py may catch only these, in these functions.
 CLI_HANDLERS = {
-    "FileNotFoundError": {"_load_config_file", "_get_pools", "cmd_gen_scenarios",
-                          "_load_checkpoint_or_die", "cmd_plan"},  # name the missing file
+    "FileNotFoundError": {"_read_input"},  # names the missing file
     "ValueError": {"_settings", "_seed"},
     "TrainingAborted": {"cmd_train"},
 }
