@@ -309,11 +309,12 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _warn_env_mismatch(args, ckpt, env, given):
-    """The checkpoint's environment echo wins over the env settings given: warn of each
-    one in `env` that differs, named by its flag, or else by its key in the --config file
-    (`given` holds the env keys that a flag or the file set)."""
+def _warn_env_mismatch(args, ckpt, env, given, pools_r_max):
+    """The checkpoint's environment echo wins over the env settings given (`given` holds
+    the env keys that a flag or the file set): warn of each one in `env` that differs, by
+    its flag or else its --config key, and of pools generated inline for that r_max."""
     echo = dataclasses.asdict(ckpt.config.env)
+    inline = not args.pools and not getattr(args, "scenario", None)  # pools made from settings
     flags = [key.partition(".")[2] for key in vars(args) if key.startswith("env.")]
     for attr in flags + [attr for attr in echo if attr in given and attr not in flags]:
         value = getattr(env, attr)
@@ -324,18 +325,17 @@ def _warn_env_mismatch(args, ckpt, env, given):
             setting = f"--{flag}={value}"
         else:
             setting = f"env.{attr}={value} in {args.config}"
-        print(
-            f"warning: {setting} differs from the "
-            f"checkpoint's {attr}={echo[attr]}; using the checkpoint value",
-            file=sys.stderr,
-        )
+        note = (f" for the reservoir (the inline pools are sized for {value})"
+                if attr == "r_max" and inline and value == pools_r_max else "")
+        print(f"warning: {setting} differs from the checkpoint's {attr}={echo[attr]}; "
+              f"using the checkpoint value{note}", file=sys.stderr)
 
 
 def cmd_evaluate(args):
     ckpt = _read_input("checkpoint", tr.load_checkpoint, args.checkpoint)
     _check_outputs(args)
     cfg, artificial, given = _settings(args)
-    _warn_env_mismatch(args, ckpt, cfg.env, given["env"])
+    _warn_env_mismatch(args, ckpt, cfg.env, given["env"], artificial.r_max)
     seed = _seed(args.seed)
     pools = _get_pools(args, artificial, seed)
     traces = tr.evaluate(ckpt, pools, args.episodes, args.deterministic, seed)
@@ -355,7 +355,7 @@ def cmd_plan(args):
     _check_outputs(args)
     seed = _seed(args.seed)
     cfg, artificial, given = _settings(args)
-    _warn_env_mismatch(args, ckpt, cfg.env, given["env"])
+    _warn_env_mismatch(args, ckpt, cfg.env, given["env"], artificial.r_max)
     if args.scenario:
         scn = _read_input("scenario file", sc.load_scenario_csv, args.scenario)
     else:

@@ -24,11 +24,14 @@ A Checkpoint holds the live agent it describes: saving reads the agent's
 arrays in place, and loading builds the agent its config echo describes,
 once, and writes the stored arrays into it. On disk it is a JSON document
 whose floating point numbers are written as full-precision decimal
-strings, so a save/load round trip reproduces every 64-bit value exactly.
+strings, so a save/load round trip reproduces every 64-bit value exactly. A
+save formats the later half of the arrays in a forked child, by the same function.
 """
 
 import dataclasses
 import json
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -329,25 +332,30 @@ def _float_list_json(a):
     return '["' + '", "'.join(texts[inverse].tolist()) + '"]' if bits.size else "[]"
 
 
-def _write_json(obj, fh):
-    """Write `obj` as json.dump(obj, fh) would if every numpy array in it were
-    the list of its elements as repr(float(x)) strings; one array at a time."""
+def _json_parts(obj):
+    """Yield the text json.dump(obj) would write, in pieces, with each numpy array in
+    `obj` as itself in place of the list of its elements as repr(float(x)) strings."""
     if isinstance(obj, np.ndarray):
-        fh.write(_float_list_json(obj))
+        yield obj
     elif isinstance(obj, dict):
-        fh.write("{")
+        yield "{"
         for i, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(value, fh)
-        fh.write("}")
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_parts(value)
+        yield "}"
     elif isinstance(obj, list):
-        fh.write("[")
+        yield "["
         for i, value in enumerate(obj):
-            fh.write(", " if i else "")
-            _write_json(value, fh)
-        fh.write("]")
+            yield ", " if i else ""
+            yield from _json_parts(value)
+        yield "]"
     else:
-        fh.write(json.dumps(obj))
+        yield json.dumps(obj)
+
+
+def _half_split(sizes):
+    """How many arrays the parent formats: through the one where the count reaches half."""
+    return int(np.searchsorted(np.cumsum(sizes), sum(sizes) / 2)) + 1 if sizes else 0
 
 
 def _decode_floats(values, shape):
@@ -402,7 +410,44 @@ def save_checkpoint(ckpt, path):
         "replay_size": ckpt.replay_size,
         "replay": None if ckpt.replay is None else {k: array(v) for k, v in ckpt.replay.items()},
     }
-    _write_atomic(path, lambda fh: _write_json(doc, fh))
+    parts = list(_json_parts(doc))
+    arrays = [part for part in parts if isinstance(part, np.ndarray)]
+    split = _half_split([a.size for a in arrays])
+    pid = lines = None
+    if split < len(arrays) and hasattr(os, "fork"):
+        try:
+            fds = os.pipe()
+            lines = open(fds[0], encoding="utf-8")
+            with open(fds[1], "w", encoding="utf-8") as out:
+                pid = os.fork()
+                if pid == 0:  # the child: no BLAS, one line per array (a float list has none)
+                    try:  # all formatted first: on a full pipe the child would wait for us
+                        out.writelines([_float_list_json(a) + "\n" for a in arrays[split:]])
+                        out.close()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)  # on an exception
+        except OSError:  # no pipe or no child: this process formats every array
+            pass
+
+    def write(fh):
+        nonlocal pid
+        texts = (_float_list_json(a) if i < split or not pid else lines.readline()[:-1]
+                 for i, a in enumerate(arrays))  # with no child, this process formats all
+        for part in parts:
+            fh.write(part if isinstance(part, str) else next(texts))
+        status, pid = (os.waitpid(pid, 0)[1] if pid else 0), None  # before `path` is replaced
+        if status:  # a short line fails here too
+            raise OSError(f"checkpoint formatting child failed (wait status {status})")
+
+    try:
+        _write_atomic(path, write)
+    finally:
+        if pid:  # still running: the save failed first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if lines:
+            lines.close()
 
 
 def _load_network(net, name, layers):

@@ -397,6 +397,42 @@ def test_env_flag_warns_in_place_of_the_config_file(tmp_path, trained_files, poo
                                        f"f_max={echo.f_max}; using the checkpoint value\n")
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("evaluate", "flag"), ("evaluate", "config"), ("plan", "config"),
+])
+def test_r_max_warning_names_the_inline_pools(command, setting, tmp_path, trained_files, capsys):
+    """Without --pools the pools are generated for the r_max given, so the warning says
+    that the checkpoint's value holds for the reservoir only."""
+    ckpt, _ = trained_files
+    assert tr.load_checkpoint(ckpt).config.env.r_max == 1000.0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"env": {"r_max": 2000}}))
+    argv = [command, "--checkpoint", str(ckpt), "--seed", "3", "--out", str(tmp_path / "o.csv"),
+            *(["--episodes", "2"] if command == "evaluate" else []),
+            *(["--r-max", "2000"] if setting == "flag" else ["--config", str(config)])]
+    assert run(argv) == 0
+    given = "--r-max=2000.0" if setting == "flag" else f"env.r_max=2000 in {config}"
+    inline = "2000.0" if setting == "flag" else "2000"
+    assert capsys.readouterr().err == (
+        f"warning: {given} differs from the checkpoint's r_max=1000.0; using the checkpoint "
+        f"value for the reservoir (the inline pools are sized for {inline})\n")
+
+
+def test_r_max_warning_without_inline_pools(tmp_path, trained_files, pools_file, scenario_file,
+                                            capsys):
+    """With --pools, or a plan's --scenario, nothing is sized for the r_max given."""
+    ckpt, _ = trained_files
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"env": {"r_max": 2000}}))
+    common = ["--checkpoint", str(ckpt), "--config", str(config), "--out", str(tmp_path / "o.csv")]
+    expected = (f"warning: env.r_max=2000 in {config} differs from the checkpoint's "
+                "r_max=1000.0; using the checkpoint value\n")
+    for argv in (["evaluate", *common, "--pools", str(pools_file), "--episodes", "1"],
+                 ["plan", *common, "--scenario", str(scenario_file)]):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == expected
+
+
 class TestPlan:
     def test_plan_columns_and_release_volume(self, tmp_path, trained_files, pools_file):
         import time

@@ -14,9 +14,11 @@ years only by `trainer.rollout`, through the array `env.step_years`; each
 is the one loop of its kind, and tests hold the two steps to the same
 bits. The reservoir's sizes, price rule and terminal window are read only
 in env.py, so the trainer and the agent cannot restate the week's
-arithmetic. The numeric code keeps to numpy's exp and log, whose bits the digests
-pin. `_kernels` only names the backend for the benchmark's environment
-record, so no module imports it.
+arithmetic. Only the checkpoint writer forks, and its child leaves only
+through `os._exit`, so a child never returns into its caller's code. The
+numeric code keeps to numpy's exp and log, whose bits the digests pin.
+`_kernels` only names the backend for the benchmark's environment record,
+so no module imports it.
 """
 
 import ast
@@ -91,6 +93,24 @@ def test_years_are_stepped_only_by_train_and_rollout():
                 for function, call in calls(tree)
                 if call.split(".")[-1] in ("step", "step_years")}
     assert stepping == {("trainer", "train", "step"), ("trainer", "rollout", "step_years")}
+
+
+def test_only_the_checkpoint_writer_forks_and_its_child_exits():
+    forks = {(module, function) for module, tree in program_trees()
+             for function, call in calls(tree) if call == "os.fork"}
+    assert forks == {("trainer", "save_checkpoint")}
+    tree = dict(program_trees())["trainer"]
+    (writer,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "save_checkpoint"]
+    (pid,) = [ast.unparse(target) for node in ast.walk(writer) if isinstance(node, ast.Assign)
+              and ast.unparse(node.value) == "os.fork()" for target in node.targets]
+    branches = [node.body for node in ast.walk(writer)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == f"{pid} == 0"]
+    assert len(branches) == 1, "the child's branch is not `if pid == 0:`"
+    last = branches[0][-1]
+    # a try ends in os._exit on every path when its finally does
+    ending = last.finalbody[-1] if isinstance(last, ast.Try) and last.finalbody else last
+    assert ast.unparse(ending).startswith("os._exit("), "the child can return into the caller"
 
 
 # The EnvConfig fields that the week's dynamics, price rule and observation read.

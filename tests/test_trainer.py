@@ -607,6 +607,101 @@ class TestCheckpointBytes:
         assert tr._float_list_json(a) == expected
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcessSave:
+    """A forked child formats the later arrays; the bytes are the serial writer's."""
+
+    def test_every_split_gives_the_one_shot_bytes(self, trained, tmp_path, monkeypatch):
+        ckpt = edge_floats_everywhere(trained[1])
+        expected = reference_checkpoint_text(ckpt)
+        arrays = []
+        monkeypatch.setattr(tr, "_half_split", lambda sizes: arrays.append(len(sizes)) or 0)
+        save_checkpoint(ckpt, tmp_path / "probe.json")
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for split in range(arrays[0] + 1):  # 0: the child formats all; the count: none
+            monkeypatch.setattr(tr, "_half_split", lambda sizes: split)
+            path = tmp_path / f"ck{split}.json"
+            save_checkpoint(ckpt, path)
+            assert path.read_text(encoding="utf-8") == expected, split
+            assert len(forks) == min(split + 1, arrays[0]), split
+        assert_no_child_left()
+
+    def test_half_split_takes_the_array_that_reaches_half(self):
+        assert tr._half_split([]) == 0
+        assert tr._half_split([10]) == 1
+        assert tr._half_split([3, 3, 3, 3]) == 2
+        assert tr._half_split([1, 5, 1, 1]) == 2
+        assert tr._half_split([0, 0]) == 1
+
+    def test_a_child_that_dies_leaves_the_previous_file(self, trained, tmp_path, monkeypatch):
+        _, ckpt, _ = trained
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        assert_no_child_left()
+        before = path.read_bytes()
+        parent, real = os.getpid(), tr._float_list_json
+
+        def fails_in_the_child(a):
+            if os.getpid() != parent:
+                raise MemoryError("formatting failed in the child")
+            return real(a)
+
+        monkeypatch.setattr(tr, "_float_list_json", fails_in_the_child)
+        with pytest.raises(OSError, match="formatting child failed"):
+            save_checkpoint(with_replay(ckpt), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        assert_no_child_left()
+
+    def test_a_failed_write_kills_and_reaps_the_child(self, trained, tmp_path):
+        _, ckpt, _ = trained
+        with pytest.raises(OSError):
+            save_checkpoint(with_replay(ckpt), tmp_path / "missing" / "ck.json")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("broken", ["no_fork", "fork_fails", "pipe_fails"])
+    def test_without_a_child_the_same_bytes(self, broken, trained, tmp_path, monkeypatch):
+        ckpt = nonfinite_replay(trained[1])
+
+        def raises():
+            raise OSError("no more processes")
+
+        if broken == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork" if broken == "fork_fails" else "pipe", raises)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        path = tmp_path / "ck.json"
+        save_checkpoint(ckpt, path)
+        assert path.read_text(encoding="utf-8") == reference_checkpoint_text(ckpt)
+        if fds is not None:  # the pipe of a failed fork is closed
+            assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+
+    def test_save_with_blas_threads_running(self, trained, tmp_path):
+        """The child calls no BLAS, so a fork while OpenBLAS's worker threads are live
+        cannot deadlock on their locks: the save ends, with the in-process bytes."""
+        ckpt = with_replay(trained[1], rewards=np.linspace(-1.0, 1.0, 8))
+        path, copy_path = tmp_path / "ck.json", tmp_path / "copy.json"
+        save_checkpoint(ckpt, path)
+        script = (
+            "import sys; import numpy as np; from hydrosac import trainer as tr\n"
+            "a = np.random.default_rng(0).random((200, 200)); a @ a\n"
+            "tr.save_checkpoint(tr.load_checkpoint(sys.argv[1]), sys.argv[2])\n"
+        )
+        src = str(Path(hydrosac.__file__).parent.parent)
+        child_env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, str(path), str(copy_path)], env=child_env,
+                       check=True, timeout=60)
+        assert copy_path.read_bytes() == path.read_bytes()
+
+
 class TestEvaluate:
     def test_deterministic_repeatable(self, trained, pools):
         _, ckpt, _ = trained
