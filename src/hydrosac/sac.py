@@ -54,19 +54,28 @@ class TrainingAborted(RuntimeError):
 
 
 class ReplayBuffer:
-    """Transition store in five arrays of `capacity` rows, allocated once; nothing is evicted.
+    """Transition store of `capacity` rows, allocated once; nothing is evicted.
 
     ROWS names the arrays, in the order of a sampled batch, with the shape
-    of one row of each. Rows fill in push order. A push past capacity
-    raises IndexError and stores nothing.
+    of one row of each. Rows fill in push order. `obs` and `next_obs` are
+    views one row apart into one (capacity + 1, OBS_DIM) array, so each
+    observation is stored once, as one transition's next_obs and the next
+    one's obs. Pushes must chain: after a non-terminal transition the next
+    obs is its next_obs, as the same object (whose row that push stored)
+    or with the same bits. A terminal transition's next_obs must be zeros;
+    sample_arrays and export_arrays give it as +0.0, and the next push
+    starts a new chain. A push that breaks the chain raises ValueError and
+    one past capacity IndexError; neither stores anything.
     """
 
     ROWS = {"obs": (OBS_DIM,), "actions": (), "rewards": (), "next_obs": (OBS_DIM,), "done": ()}
 
     def __init__(self, capacity):
         self._size = 0
-        for name, row in self.ROWS.items():
-            setattr(self, name, np.empty((capacity, *row)))
+        self._next = None  # the last push's next_obs; None where a chain starts
+        observations = np.empty((capacity + 1, OBS_DIM))
+        self.obs, self.next_obs = observations[:-1], observations[1:]
+        self.actions, self.rewards, self.done = (np.empty(capacity) for _ in range(3))
 
     def __len__(self):
         return self._size
@@ -74,22 +83,38 @@ class ReplayBuffer:
     def push(self, obs, action, reward, next_obs, done):
         # one store per array, not a loop over ROWS: push runs every environment week
         i = self._size
-        self.obs[i] = obs
-        self.actions[i] = action
+        chained = self._next
+        if obs is not chained and chained is not None and (  # train passes the object itself
+                np.asarray(obs, dtype=float).tobytes() != self.obs[i].tobytes()):
+            raise ValueError(f"transition {i}'s obs is not transition {i - 1}'s next_obs")
+        if done and np.any(next_obs):
+            raise ValueError("a terminal transition's next_obs must be zeros")
+        self.actions[i] = action  # each view has capacity rows: past it this raises IndexError
         self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.done[i] = 1.0 if done else 0.0
-        self._size += 1
+        if chained is None:
+            self.obs[i] = obs
+        if done:
+            self.done[i] = 1.0
+            self._next = None
+        else:
+            self.done[i] = 0.0
+            self.next_obs[i] = next_obs
+            self._next = next_obs
+        self._size = i + 1
 
     def sample_arrays(self, batch_size, rng):
         """Uniform draws with replacement, as batch arrays for update(), in ROWS order."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
         idx = rng.integers(0, self._size, size=batch_size)
-        return tuple(getattr(self, name)[idx] for name in self.ROWS)
+        obs, actions, rewards, next_obs, done = (getattr(self, name)[idx] for name in self.ROWS)
+        next_obs[done != 0.0] = 0.0  # a terminal row's next_obs is the next chain's first obs
+        return obs, actions, rewards, next_obs, done
 
     def export_arrays(self):
-        return {name: getattr(self, name)[:self._size].copy() for name in self.ROWS}
+        arrays = {name: getattr(self, name)[:self._size].copy() for name in self.ROWS}
+        arrays["next_obs"][arrays["done"] != 0.0] = 0.0
+        return arrays
 
 
 @dataclass

@@ -26,6 +26,23 @@ def transition(reward=1.0, done=False, action=0.5):
     return OBS.copy(), action, reward, NEXT_OBS.copy(), done
 
 
+def chain(rewards, done=False):
+    """ReplayBuffer.push arguments, one transition per reward, each obs the last
+    one's next_obs; with done the last is terminal and its next_obs zeros."""
+    rows = [OBS + k / 8 for k in range(len(rewards))] + [np.zeros(5) if done else NEXT_OBS.copy()]
+    return [(rows[k], 0.5, r, rows[k + 1], done and k == len(rewards) - 1)
+            for k, r in enumerate(rewards)]
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def raw_bytes(buf):
+    """Every stored byte of a buffer, the spare observation row included."""
+    return [getattr(buf, name).tobytes() for name in ReplayBuffer.ROWS]
+
+
 def small_agent(seed=0, **cfg_kwargs):
     cfg = SacConfig(hidden_width=16, **cfg_kwargs)
     return AgentBundle.init(cfg, np.random.default_rng(seed))
@@ -65,13 +82,14 @@ def test_config_edges_are_valid(fields):
 class TestReplayBuffer:
     def test_push_counts(self):
         buf = ReplayBuffer(3)
-        for _ in range(3):
-            buf.push(*transition())
+        for t in chain([1.0] * 3):
+            buf.push(*t)
         assert len(buf) == 3
 
     def test_million_pushes_all_retrievable(self):
         buf = ReplayBuffer(1_000_000)
-        t = transition()
+        obs = OBS.copy()
+        t = (obs, 0.5, 1.0, obs, False)  # its own next observation, so it chains onto itself
         for _ in range(1_000_000):
             buf.push(*t)
         assert len(buf) == 1_000_000
@@ -79,16 +97,17 @@ class TestReplayBuffer:
         assert buf.rewards[999_999] == 1.0
 
     def test_round_trip_bitwise(self):
-        buf = ReplayBuffer(1)
+        buf = ReplayBuffer(2)
         obs = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         next_obs = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
-        buf.push(obs, 0.123456789012345678, -7.25, next_obs, True)
+        buf.push(obs, 0.123456789012345678, -7.25, next_obs, False)
+        buf.push(next_obs, 1e-300, 3.5, np.zeros(5), True)
         back = buf.export_arrays()
-        assert np.array_equal(back["obs"], [obs])
-        assert back["actions"][0] == 0.123456789012345678
-        assert back["rewards"][0] == -7.25
-        assert np.array_equal(back["next_obs"], [next_obs])
-        assert back["done"][0] == 1.0
+        assert np.array_equal(back["obs"], [obs, next_obs])
+        assert list(back["actions"]) == [0.123456789012345678, 1e-300]
+        assert list(back["rewards"]) == [-7.25, 3.5]
+        assert np.array_equal(back["next_obs"], [next_obs, np.zeros(5)])
+        assert list(back["done"]) == [0.0, 1.0]
 
     def test_underfull_sampling_rejected(self):
         buf = ReplayBuffer(100)
@@ -98,42 +117,108 @@ class TestReplayBuffer:
 
     def test_sampling_uniform(self):
         buf = ReplayBuffer(2)
-        buf.push(*transition(reward=0.0))
-        buf.push(*transition(reward=1.0))
+        for t in chain([0.0, 1.0]):
+            buf.push(*t)
         rng = np.random.default_rng(3)
         picks = [buf.sample_arrays(1, rng)[2][0] for _ in range(100_000)]
         assert abs(np.mean(picks) - 0.5) < 0.01
 
     def test_sampling_deterministic(self):
         buf = ReplayBuffer(50)
-        for k in range(50):
-            buf.push(*transition(reward=float(k)))
+        for t in chain([float(k) for k in range(50)]):
+            buf.push(*t)
         b1 = buf.sample_arrays(10, np.random.default_rng(5))
         b2 = buf.sample_arrays(10, np.random.default_rng(5))
         for a, b in zip(b1, b2):
             assert np.array_equal(a, b)
 
     def test_push_past_capacity_raises_and_stores_nothing(self):
+        self.check_push_past_capacity(last_done=True)  # the push would start a chain
+
+    def test_push_past_capacity_continuing_a_chain_stores_nothing(self):
+        self.check_push_past_capacity(last_done=False)
+
+    @staticmethod
+    def check_push_past_capacity(last_done):
         buf = ReplayBuffer(2)
-        buf.push(*transition(reward=1.0))
-        buf.push(*transition(reward=2.0, done=True))
-        before = buf.export_arrays()
+        pushed = chain([1.0, 2.0], done=last_done)
+        for t in pushed:
+            buf.push(*t)
+        before, stored = buf.export_arrays(), raw_bytes(buf)
+        obs = OBS + 5.0 if last_done else pushed[-1][3]
         with pytest.raises(IndexError):
-            buf.push(*transition(reward=3.0))
+            buf.push(obs, 0.5, 3.0, NEXT_OBS.copy(), False)
         assert len(buf) == 2
         after = buf.export_arrays()
         for name, rows in before.items():
             assert np.array_equal(after[name], rows), name
+        assert raw_bytes(buf) == stored  # the first store failed, so no byte changed
 
     def test_sampling_reads_only_pushed_rows(self):
         # rows past len(buf) are uninitialised; a draw must never reach them
         buf = ReplayBuffer(1000)
         buf.rewards[:] = np.nan
-        for _ in range(5):
-            buf.push(*transition(reward=4.0))
+        for t in chain([4.0] * 5):
+            buf.push(*t)
         rng = np.random.default_rng(1)
         rewards = np.concatenate([buf.sample_arrays(5, rng)[2] for _ in range(200)])
         assert np.all(rewards == 4.0)
+
+    def test_obs_and_next_obs_share_one_array(self):
+        buf = ReplayBuffer(4)
+        assert np.shares_memory(buf.obs, buf.next_obs)
+        assert buf.obs.shape == buf.next_obs.shape == (4, 5)
+        for t in chain([1.0, 2.0, 3.0]):
+            buf.push(*t)
+        assert np.array_equal(bits(buf.next_obs[:2]), bits(buf.obs[1:3]))
+
+    def test_terminal_next_obs_reads_positive_zero(self):
+        # three chains of four weeks: each terminal next_obs row is stored as the
+        # next chain's first obs, or never written (the last), and reads +0.0
+        buf = ReplayBuffer(12)
+        buf.obs[:] = -1.0
+        buf.next_obs[-1] = np.nan
+        for year in range(3):
+            for obs, action, reward, next_obs, done in chain([1.0, 2.0, 3.0, 4.0], done=True):
+                buf.push(obs + year, action, reward, next_obs + year * (not done), done)
+        back = buf.export_arrays()
+        terminal = back["done"] == 1.0
+        assert list(np.flatnonzero(terminal)) == [3, 7, 11]
+        assert not bits(back["next_obs"][terminal]).any()  # +0.0, by bits
+        chained = ~terminal[:-1]  # the last row is terminal
+        assert np.array_equal(bits(back["next_obs"][:-1][chained]), bits(back["obs"][1:][chained]))
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        drawn = []
+        for _ in range(20):
+            batch = buf.sample_arrays(12, rng)
+            idx = twin.integers(0, 12, size=12)  # the draw that sample_arrays made
+            for name, column in zip(ReplayBuffer.ROWS, batch):
+                assert np.array_equal(bits(column), bits(back[name][idx])), name
+            drawn.extend(idx)
+        assert terminal[drawn].any() and not terminal[drawn].all()
+
+    def test_chain_breaking_push_raises_and_stores_nothing(self):
+        buf = ReplayBuffer(4)
+        obs, action, next_obs = OBS.copy(), 0.5, np.array([0.0, 0.2, 0.3, 0.4, 0.5])
+        buf.push(obs, action, 1.0, next_obs, False)
+        before, stored = buf.export_arrays(), raw_bytes(buf)
+        negative_zero, off_by_an_ulp = next_obs.copy(), next_obs.copy()
+        negative_zero[0] = -0.0  # equal in value, not in bits
+        off_by_an_ulp[1] = np.nextafter(0.2, 1.0)
+        broken = [(obs, action, 2.0, next_obs, False),  # the row before, pushed again
+                  (negative_zero, action, 2.0, next_obs, False),
+                  (off_by_an_ulp, action, 2.0, next_obs, False),
+                  (next_obs, action, 2.0, OBS.copy(), True)]  # a terminal next_obs not zero
+        for t in broken:
+            with pytest.raises(ValueError):
+                buf.push(*t)
+            assert len(buf) == 1
+            assert raw_bytes(buf) == stored
+        after = buf.export_arrays()
+        for name, rows in before.items():
+            assert np.array_equal(after[name], rows), name
+        buf.push(next_obs.copy(), action, 2.0, np.zeros(5), True)  # equal bits, another object
+        assert len(buf) == 2
 
 
 class TestComputeQTargets:
@@ -252,6 +337,23 @@ class TestUpdate:
         # which costs at most an ulp when t == m
         for a, b in zip(target_before, agent.value_target.parameters()):
             assert np.allclose(a, b, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("rate", ["lr_q", "lr_value", "lr_policy"])
+    def test_each_rate_moves_only_its_networks(self, rate):
+        # tau 1 copies the value net into its target, so a target whose value
+        # net did not move keeps every bit
+        rates = {"lr_q": 0.0, "lr_value": 0.0, "lr_policy": 0.0, rate: 5e-4}
+        agent = small_agent(seed=16, tau=1.0, **rates)
+        nets = {"q1": agent.q1, "q2": agent.q2, "value": agent.value,
+                "value_target": agent.value_target, "policy": agent.policy}
+        before = {name: net.params.copy() for name, net in nets.items()}
+        update(agent, batch_of([transition(reward=float(k)) for k in range(8)]),
+               np.random.default_rng(17))
+        moved = {name for name, net in nets.items()
+                 if not np.array_equal(bits(net.params), bits(before[name]))}
+        trains = {"lr_q": {"q1", "q2"}, "lr_value": {"value", "value_target"},
+                  "lr_policy": {"policy"}}
+        assert moved == trains[rate]
 
     def test_single_transition_contraction(self):
         # with alpha=0, gamma=0 the Q target is the fixed reward
