@@ -18,8 +18,8 @@ returns the gradient with respect to the input (needed to push Q gradients
 through actions). The policy network adds a squashed-Gaussian head pair on
 top of a shared trunk: it emits a mean and a clamped log standard
 deviation, samples with reparameterized noise, and squashes through a
-sigmoid so actions stay in (0, 1). The squash, its log density and its
-reverse pass are here too, as vectorized numpy with one value per row.
+sigmoid so actions stay in (0, 1). The squash, a sample's log density and
+its reverse pass are here too, as vectorized numpy with one value per row.
 """
 
 from dataclasses import dataclass
@@ -274,24 +274,6 @@ def squash_sample(mean, log_std, noise, prob_floor):
         - np.log(sig_grad + prob_floor)
     )
     return action, log_prob, z, std
-
-
-def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
-    """Log density at `action` of sigmoid(Normal(mean, exp(log_std))).
-
-    Includes the same additive floor as the sampler, so integrating
-    exp(log_prob) over (0, 1) is 1 up to the floor's tiny deficit.
-    """
-    action = np.asarray(action, dtype=float)
-    z = np.log(action) - np.log1p(-action)
-    std = np.exp(log_std)
-    u = (z - mean) / std
-    return (
-        -0.5 * u * u
-        - log_std
-        - 0.5 * LOG_2PI
-        - np.log(action * (1.0 - action) + prob_floor)
-    )
 
 
 class PolicyNet:

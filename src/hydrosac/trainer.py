@@ -307,14 +307,6 @@ def policy_action_fn(policy, deterministic):
     return lambda obs, rngs: policy.sample(np.array(obs)[:, None], rngs)[0]
 
 
-def random_policy(obs, rngs):
-    return [rng.random() for rng in rngs]
-
-
-def constant_policy(level):
-    return lambda obs, rngs: [level] * len(rngs)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Oracles for the reservoir problem; all but `scalar_year` share no code with env.py.
+"""Oracles and baselines for the reservoir problem and the policy's density;
+all but `scalar_year` share no code with env.py.
 
 `perfect_foresight_plan` gives the wait-and-see value of one year (Birge &
 Louveaux, Introduction to Stochastic Programming, 2nd ed. 2011, ch. 4):
@@ -17,6 +18,15 @@ which tests/test_env.py holds to the bits of their array forms.
 grid, with the expectation over every pair of a week's price and inflow
 pools, as sample_scenario draws each week's price and inflow
 independently. `sdp_policy` acts on it; it sees only the present week.
+
+`random_policy` and `constant_policy(level)` are the baselines the
+acceptance suite scores against: a uniform action from each year's
+generator, and `level` for every year.
+
+`squashed_log_prob` is the density that `neural.squash_sample`'s log-prob
+must match: the log density of sigmoid(Normal(mean, exp(log_std))) at an
+action, found by inverting the sigmoid. It shares no code with neural.py
+but the `SQUASH_PROB_FLOOR` default.
 """
 
 import dataclasses
@@ -25,6 +35,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from hydrosac.env import LAST_WEEK_PRICE, WEEKS, observe, step
+from hydrosac.neural import SQUASH_PROB_FLOOR
 from hydrosac.scenario import sample_scenario
 
 # HiGHS works to a feasibility tolerance of 1e-7; this is ample above it.
@@ -302,3 +313,29 @@ def sdp_policy(solution):
         return np.clip(release / solution.cfg.f_max, 0.0, 1.0)
 
     return act
+
+
+def random_policy(obs, rngs):
+    return [rng.random() for rng in rngs]
+
+
+def constant_policy(level):
+    return lambda obs, rngs: [level] * len(rngs)
+
+
+def squashed_log_prob(mean, log_std, action, prob_floor=SQUASH_PROB_FLOOR):
+    """Log density at `action` of sigmoid(Normal(mean, exp(log_std))).
+
+    Includes the same additive floor as the sampler, so integrating
+    exp(log_prob) over (0, 1) is 1 up to the floor's tiny deficit.
+    """
+    action = np.asarray(action, dtype=float)
+    z = np.log(action) - np.log1p(-action)
+    std = np.exp(log_std)
+    u = (z - mean) / std
+    return (
+        -0.5 * u * u
+        - log_std
+        - 0.5 * np.log(2.0 * np.pi)
+        - np.log(action * (1.0 - action) + prob_floor)
+    )

@@ -13,22 +13,21 @@ from scipy.integrate import quad
 
 from hydrosac import neural
 from hydrosac.env import EnvConfig, reward, step
-from hydrosac.neural import LINEAR, RELU, PolicyNet, mlp_init, squashed_log_prob
+from hydrosac.neural import LINEAR, RELU, PolicyNet, mlp_init
 from hydrosac.sac import SacConfig
 from hydrosac.scenario import ArtificialConfig, generate_artificial_pools
 from hydrosac.trainer import (
     TrainConfig,
-    constant_policy,
     evaluate,
     evaluate_policy_fn,
     load_checkpoint,
-    random_policy,
     save_checkpoint,
     train,
     write_train_log,
 )
-from oracles import (assert_replayed, assert_within_bounds, perfect_foresight_bounds, sdp_policy,
-                     sdp_solve)
+from oracles import (assert_replayed, assert_within_bounds, constant_policy,
+                     perfect_foresight_bounds, random_policy, sdp_policy, sdp_solve,
+                     squashed_log_prob)
 
 POOLS_SEED = 11
 EVAL_SEED = 999

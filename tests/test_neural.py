@@ -18,8 +18,8 @@ from hydrosac.neural import (
     mlp_init,
     rmsprop_step,
     squash_sample,
-    squashed_log_prob,
 )
+from oracles import squashed_log_prob
 
 FD_STEP = 1e-6
 
@@ -441,6 +441,32 @@ class TestPolicySample:
         assert log_prob == pytest.approx(
             squashed_log_prob(mean, log_std, action)[0], abs=1e-9
         )
+
+    # The oracle inverts the sigmoid, and that round trip loses precision as
+    # |z| grows: the worst error measured was 1.0e-12 at |z| <= 10, 1.2e-10
+    # at |z| <= 15 and 1.7e-8 at |z| <= 20. So only rows whose pre-squash
+    # value has |z| <= 10 are compared.
+    def assert_rows_match_density_function(self, pol, obs, rng):
+        action, log_prob, z = pol.sample(obs, rng)
+        mean, log_std = pol.forward(obs)
+        compared = np.abs(z) <= 10.0
+        assert compared.mean() > 0.5
+        assert log_prob[compared] == pytest.approx(
+            squashed_log_prob(mean, log_std, action)[compared], abs=1e-9
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_log_probs_match_density_function(self, seed):
+        # large heads drive some rows' sigmoid to saturation
+        pol = PolicyNet.init(5, 8, np.random.default_rng(seed), head_bound=3.0)
+        obs = np.random.default_rng(seed + 100).random((400, 5))
+        self.assert_rows_match_density_function(pol, obs, np.random.default_rng(seed + 200))
+
+    def test_acting_stack_log_probs_match_density_function(self):
+        pol = PolicyNet.init(5, 8, np.random.default_rng(1), head_bound=3.0)
+        obs = np.random.default_rng(101).random((50, 1, 5))
+        rngs = [np.random.default_rng(seed) for seed in range(50)]
+        self.assert_rows_match_density_function(pol, obs, rngs)
 
     def test_density_normalizes(self):
         # quadrature oracle for the squashed density (floor perturbs < 1e-3)

@@ -23,10 +23,10 @@ import pytest
 
 from hydrosac.env import LAST_WEEK_PRICE, MAX_PRICE, WEEKS, EnvConfig
 from hydrosac.scenario import HISTORIC, ArtificialConfig, generate_artificial_pools
-from hydrosac.trainer import constant_policy, evaluate_policy_fn, random_policy
-from oracles import (assert_replayed, assert_within_bounds, episode_starts,
-                     perfect_foresight_bounds, perfect_foresight_plan, plan_policy, sdp_choice,
-                     sdp_policy, sdp_solve)
+from hydrosac.trainer import evaluate_policy_fn
+from oracles import (assert_replayed, assert_within_bounds, constant_policy, episode_starts,
+                     perfect_foresight_bounds, perfect_foresight_plan, plan_policy, random_policy,
+                     sdp_choice, sdp_policy, sdp_solve)
 
 POOLS_SEED = 11
 EVAL_SEED = 12345

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrosac import scenario as sc
+from hydrosac.env import EnvConfig
 from hydrosac.scenario import (
     ArtificialConfig,
     DataError,
@@ -294,6 +295,23 @@ class TestDrawOrder:
             assert scn.inflows.tolist() == inflows, versions
             assert mine.bit_generator.state == ref.bit_generator.state, versions
             assert mine.random() == ref.random(), versions
+
+    def test_one_call_of_52_uniforms_matches_52_scalar_draws(self):
+        # An exploration year in train draws its scenario, its start storage,
+        # then one uniform action a week. One rng.random(52) after the same
+        # two draws gives the 52 actions' bits and leaves the same state.
+        pools = generate_artificial_pools(ArtificialConfig(), 11)
+        cfg = EnvConfig()
+        versions = f"stream checked on numpy 2.4.6; this is numpy {np.__version__}"
+        for seed in range(200):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (mine, ref):
+                sample_scenario(pools, rng)
+                rng.uniform(cfg.init_low, cfg.init_high)
+            block = mine.random(52)
+            scalars = np.array([ref.random() for _ in range(52)])
+            assert np.array_equal(block.view(np.int64), scalars.view(np.int64)), versions
+            assert mine.bit_generator.state == ref.bit_generator.state, versions
 
 
 class TestPoolsFile:

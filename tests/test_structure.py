@@ -18,10 +18,15 @@ arithmetic. Only the checkpoint writer forks, and its child leaves only
 through `os._exit`, so a child never returns into its caller's code. The
 numeric code keeps to numpy's exp and log, whose bits the digests pin.
 `_kernels` only names the backend for the benchmark's environment record,
-so no module imports it.
+so no module imports it. And the package is the program: every top-level
+function, class and constant, and every method but a dunder, is named by
+identifier somewhere in the package outside its own definition, or by
+word in perfbench/*.py. Code that only tests call lives in tests/, an
+oracle or a baseline in tests/oracles.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import hydrosac
@@ -180,3 +185,57 @@ def test_no_module_imports_kernels():
     importers = {module for module, tree in program_trees()
                  if any(m.split(".")[-1] == "_kernels" for m in imports(tree))}
     assert not importers, f"modules that import _kernels: {sorted(importers)}"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def definitions(tree):
+    """Yield (qualified name, definition node) for each top-level function,
+    class and constant of `tree`, and each method of a top-level class.
+    Dunder names are left out: Python calls them, not the program."""
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not dunder(item.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and not dunder(t.id))
+
+
+def references(tree):
+    """Yield (identifier, node) for each name, attribute and import alias in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node
+
+
+def test_every_package_name_is_called_by_the_program_or_perfbench():
+    # Code that only tests call belongs in tests/ (an oracle in tests/oracles.py);
+    # the benchmark still reads a few names that nothing in the package calls
+    trees = dict(program_trees())
+    used = {}
+    for module, tree in trees.items():
+        for identifier, node in references(tree):
+            used.setdefault(identifier, []).append(node)
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    uncalled = []
+    for module, tree in trees.items():
+        for name, definition in definitions(tree):
+            own = set(map(id, ast.walk(definition)))
+            identifier = name.split(".")[-1]
+            if any(id(node) not in own for node in used.get(identifier, ())):
+                continue
+            if not re.search(rf"\b{re.escape(identifier)}\b", bench):
+                uncalled.append(f"{module}.{name}")
+    assert not uncalled, f"called by neither the package nor perfbench: {uncalled}"

@@ -28,18 +28,16 @@ from hydrosac.trainer import (
     CheckpointError,
     TrainConfig,
     config_from_dict,
-    constant_policy,
     evaluate,
     evaluate_policy_fn,
     load_checkpoint,
-    random_policy,
     rollout,
     save_checkpoint,
     train,
     write_eval_csv,
     write_train_log,
 )
-from oracles import scalar_year
+from oracles import constant_policy, random_policy, scalar_year
 import reference
 
 
